@@ -1,6 +1,8 @@
 """Wright-kernel harmonic mappings: series numerics, coefficient convolution,
 sufficient-condition checkers, and a sampling-based geometric oracle."""
 
+import types
+
 from .errors import ConvergenceError, DomainError, SingularPointError
 from .wright import (
     DEFAULT_CONTROL,
@@ -9,6 +11,7 @@ from .wright import (
     WrightParams,
     derivs_at_one,
     norm_coeff,
+    norm_coeffs,
     normalized_eval,
     wright_eval,
 )
@@ -51,47 +54,8 @@ from .oracle import (
 
 __version__ = "0.1.0"
 
+# Every name imported above, and the version.
 __all__ = [
-    "ConvergenceError",
-    "DomainError",
-    "SingularPointError",
-    "DEFAULT_CONTROL",
-    "DerivativeValues",
-    "SeriesControl",
-    "WrightParams",
-    "derivs_at_one",
-    "norm_coeff",
-    "normalized_eval",
-    "wright_eval",
-    "CoefficientSeq",
-    "ConvolutionSpec",
-    "EvalPoint",
-    "ImageCoefficients",
-    "convolve",
-    "eval_derivs",
-    "eval_map",
-    "identity_image",
-    "random_coefficients",
-    "CriterionReport",
-    "FORM_DERIVED",
-    "FORM_EXACT",
-    "FORM_STATED",
-    "THEOREM_IDS",
-    "class_bound_coeffs",
-    "close_to_convex_probe",
-    "default_epsilons",
-    "exact_image_criterion",
-    "lemma1_sum",
-    "lemma2_sum",
-    "lemma5_sum",
-    "lemma6_membership",
-    "stated_hypothesis",
-    "OracleReport",
-    "SampleGrid",
-    "Violation",
-    "dtheta_arg_f",
-    "dtheta_arg_ftheta",
-    "jacobian_margin",
-    "sweep",
-    "__version__",
-]
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+] + ["__version__"]

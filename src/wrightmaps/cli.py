@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import sys
 
 import numpy as np
 
-from numpy.polynomial import polynomial as npoly
-
 from .criteria import (
     THEOREM_IDS,
+    THEOREMS,
     class_bound_coeffs,
     close_to_convex_probe,
     stated_hypothesis,
@@ -29,6 +29,7 @@ from .mappings import (
     ConvolutionSpec,
     ImageCoefficients,
     convolve,
+    eval_parts,
     random_coefficients,
 )
 from .oracle import SampleGrid, sweep
@@ -42,25 +43,23 @@ EXIT_IO = 4
 
 _GLOBAL_DEFAULTS = {"ctrl-max-terms": "2000", "ctrl-tol": "1e-14", "seed": "0"}
 
+# Options of the commands that evaluate one identifier's hypothesis.
+_HYPOTHESIS = {"p1": None, "p2": "", "sigma": "0", "order": "0", "b1": "0", "gate": "derived"}
+
 # Per-command option defaults; None marks a required option, lists are
 # repeatable options (';'-separated when given through a config file).
 _CMD_DEFAULTS = {
     "eval": {"p": None, "z": "1,0"},
     "derivs": {"p": None},
-    "check": {"p1": None, "p2": "", "sigma": "0", "order": "0", "b1": "0", "gate": "derived"},
+    "check": _HYPOTHESIS,
     "scan": {"axis": None, "fix": [], "out": None},
     "verify": {
-        "p1": None,
-        "p2": "",
-        "sigma": "0",
-        "order": "0",
-        "b1": "0",
+        **_HYPOTHESIS,
         "f": "random",
         "count": "20",
         "nmax": "50",
         "radii": "0.5,0.9,0.99",
         "theta-count": "4096",
-        "gate": "derived",
     },
     "render": {
         "f": "identity",
@@ -78,6 +77,13 @@ _CMD_DEFAULTS = {
 
 _LIST_OPTIONS = {"axis", "fix"}
 
+# Commands that take a theorem identifier before their options.
+_THEOREM_COMMANDS = ("check", "scan", "verify")
+# The two forms of every hypothesis report, in stated_hypothesis's order; --gate names one.
+_FORMS = ("stated", "derived")
+# Largest scan grid, in points; counted before any list of axis values exists.
+_MAX_SCAN_POINTS = 1_000_000
+
 _PARAM_NAMES = (
     "alpha1",
     "beta1",
@@ -92,17 +98,8 @@ _PARAM_NAMES = (
     "b1",
 )
 
-_SCAN_HEADER = list(_PARAM_NAMES) + [
-    "lhs_stated",
-    "rhs_stated",
-    "sat_stated",
-    "lhs_derived",
-    "rhs_derived",
-    "sat_derived",
-]
-
-_STARLIKE_THEOREMS = {"T3.1", "C1", "T3.2", "T3.3"}
-_CONVEX_THEOREMS = {"T4.1", "R1", "T4.2", "T4.3"}
+# lhs, rhs and satisfied of each form's report follow the parameters in every row.
+_SCAN_HEADER = list(_PARAM_NAMES) + [f"{col}_{form}" for form in _FORMS for col in ("lhs", "rhs", "sat")]
 
 
 # ----------------------------- value parsing --------------------------------
@@ -218,7 +215,17 @@ def _conv_spec(opts) -> ConvolutionSpec:
     return ConvolutionSpec(p1, p2, parse_complex(opts["sigma"]))
 
 
+def _gate(opts) -> int:
+    """Index of the report --gate selects in an (as_stated, as_derived) pair."""
+    if opts["gate"] not in _FORMS:
+        raise DomainError(f"gate must be 'stated' or 'derived', got {opts['gate']!r}")
+    return _FORMS.index(opts["gate"])
+
+
 # ------------------------------ coefficient csv -----------------------------
+
+# Index of the first coefficient of each part: A_2.. and B_1..
+_FIRST_INDEX = {"a": 2, "b": 1}
 
 
 def write_coeff_csv(path: str, f: CoefficientSeq) -> None:
@@ -226,14 +233,13 @@ def write_coeff_csv(path: str, f: CoefficientSeq) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["part", "n", "re", "im"])
-        for k, v in enumerate(f.a):
-            writer.writerow(["a", k + 2, _csv_num(v.real), _csv_num(v.imag)])
-        for k, v in enumerate(f.b):
-            writer.writerow(["b", k + 1, _csv_num(v.real), _csv_num(v.imag)])
+        for part, coeffs in zip(_FIRST_INDEX, (f.a, f.b)):
+            for k, v in enumerate(coeffs):
+                writer.writerow([part, k + _FIRST_INDEX[part], _csv_num(v.real), _csv_num(v.imag)])
 
 
 def read_coeff_csv(path: str) -> CoefficientSeq:
-    a_vals, b_vals = {}, {}
+    values = {part: {} for part in _FIRST_INDEX}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -246,25 +252,24 @@ def read_coeff_csv(path: str) -> CoefficientSeq:
                 raise DomainError(f"{path}: malformed row {row!r}")
             part, n = row[0].strip(), _parse_int(row[1], "n")
             val = complex(_parse_float(row[2], "re"), _parse_float(row[3], "im"))
-            if part == "a" and n >= 2:
-                a_vals[n] = val
-            elif part == "b" and n >= 1:
-                b_vals[n] = val
-            else:
+            if not np.isfinite(val):
+                raise DomainError(f"{path}: coefficient must be finite, got row {row!r}")
+            if part not in _FIRST_INDEX or n < _FIRST_INDEX[part]:
                 raise DomainError(f"{path}: bad part/index {part!r}/{n}")
-    a = np.zeros(max(a_vals, default=1) - 1, dtype=complex)
-    for n, v in a_vals.items():
-        a[n - 2] = v
-    b = np.zeros(max(b_vals, default=0), dtype=complex)
-    for n, v in b_vals.items():
-        b[n - 1] = v
-    return CoefficientSeq(a, b)
+            values[part][n] = val
+    seqs = {}
+    for part, n0 in _FIRST_INDEX.items():
+        seqs[part] = np.zeros(max(values[part], default=n0 - 1) - n0 + 1, dtype=complex)
+        for n, v in values[part].items():
+            seqs[part][n - n0] = v
+    return CoefficientSeq(seqs["a"], seqs["b"])
 
 
 # --------------------------------- commands ---------------------------------
 
 
 def _cmd_eval(opts) -> int:
+    """evaluate the series at a point"""
     p = parse_params(opts["p"])
     z = parse_complex(opts["z"])
     ctrl = _ctrl(opts)
@@ -276,6 +281,7 @@ def _cmd_eval(opts) -> int:
 
 
 def _cmd_derivs(opts) -> int:
+    """derivative values at z = 1"""
     d = derivs_at_one(parse_params(opts["p"]), _ctrl(opts))
     for name in ("w1", "wp1", "wpp1", "wppp1"):
         print(f"{name} = {_fmt(getattr(d, name))}")
@@ -290,59 +296,52 @@ def _report_line(rep) -> str:
 
 
 def _cmd_check(theorem: str, opts) -> int:
-    gate = opts["gate"]
-    if gate not in ("stated", "derived"):
-        raise DomainError(f"gate must be 'stated' or 'derived', got {gate!r}")
-    stated, derived = stated_hypothesis(
+    """check one sufficient condition"""
+    gate = _gate(opts)
+    reports = stated_hypothesis(
         theorem,
         _conv_spec(opts),
         _parse_float(opts["order"], "order"),
         _parse_float(opts["b1"], "b1"),
         _ctrl(opts),
     )
-    print(_report_line(stated))
-    print(_report_line(derived))
-    gated = derived if gate == "derived" else stated
-    print(f"gate={gate} result={'pass' if gated.satisfied else 'fail'}")
+    for rep in reports:
+        print(_report_line(rep))
+    gated = reports[gate]
+    print(f"gate={opts['gate']} result={'pass' if gated.satisfied else 'fail'}")
     return EXIT_OK if gated.satisfied else EXIT_FAIL
 
 
-def _axis_values(start: float, stop: float, step: float):
-    if step <= 0:
-        raise DomainError(f"axis step must be > 0, got {step}")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12 * max(1.0, abs(step)):
-            break
-        values.append(v)
-        k += 1
-    if not values:
-        raise DomainError(f"axis produced no values (start={start}, stop={stop}, step={step})")
-    return values
+def _param_setting(text: str, flag: str, form: str):
+    """'name=rest' with name a scan parameter -> (name, rest)."""
+    if "=" not in text:
+        raise DomainError(f"{flag} must look like '{form}', got {text!r}")
+    name, rest = (s.strip() for s in text.split("=", 1))
+    if name not in _PARAM_NAMES:
+        raise DomainError(f"unknown scan parameter {name!r}; known: {', '.join(_PARAM_NAMES)}")
+    return name, rest
 
 
 def _parse_axis(text: str):
-    if "=" not in text:
-        raise DomainError(f"axis must look like 'name=start:stop:step', got {text!r}")
-    name, spec = (s.strip() for s in text.split("=", 1))
-    if name not in _PARAM_NAMES:
-        raise DomainError(f"unknown scan parameter {name!r}; known: {', '.join(_PARAM_NAMES)}")
+    """'name=start:stop:step' -> (name, start, step, count); the values are start + k*step."""
+    name, spec = _param_setting(text, "axis", "name=start:stop:step")
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"axis range must be 'start:stop:step', got {spec!r}")
     start, stop, step = (_parse_float(s, name) for s in parts)
-    return name, _axis_values(start, stop, step)
-
-
-def _parse_fix(text: str):
-    if "=" not in text:
-        raise DomainError(f"fix must look like 'name=value', got {text!r}")
-    name, value = (s.strip() for s in text.split("=", 1))
-    if name not in _PARAM_NAMES:
-        raise DomainError(f"unknown scan parameter {name!r}; known: {', '.join(_PARAM_NAMES)}")
-    return name, _parse_float(value, name)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise DomainError(f"axis start, stop and step must be finite, got {spec!r}")
+    if step <= 0:
+        raise DomainError(f"axis step must be > 0, got {step}")
+    limit = stop + 1e-12 * max(1.0, abs(step))
+    count = 0
+    while start + count * step <= limit:
+        count += 1
+        if count > _MAX_SCAN_POINTS:
+            raise DomainError(f"axis {name} has more than {_MAX_SCAN_POINTS} values")
+    if not count:
+        raise DomainError(f"axis produced no values (start={start}, stop={stop}, step={step})")
+    return name, start, step, count
 
 
 def _point_reports(theorem, values, ctrl):
@@ -353,33 +352,29 @@ def _point_reports(theorem, values, ctrl):
 
 
 def _cmd_scan(theorem: str, opts) -> int:
+    """grid scan to CSV"""
     base = {name: 1.0 for name in _PARAM_NAMES}
     base.update({"sigma": 0.0, "order": 0.0, "b1": 0.0})
     for text in opts["fix"]:
-        name, value = _parse_fix(text)
-        base[name] = value
+        name, value = _param_setting(text, "fix", "name=value")
+        base[name] = _parse_float(value, name)
     axes = [_parse_axis(text) for text in opts["axis"]]
     if not axes:
         raise DomainError("scan needs at least one --axis")
+    points = math.prod(count for *_, count in axes)
+    if points > _MAX_SCAN_POINTS:
+        raise DomainError(f"scan grid has {points} points, more than {_MAX_SCAN_POINTS}")
     ctrl = _ctrl(opts)
+    names = [name for name, *_ in axes]
+    grids = [[start + k * step for k in range(count)] for _, start, step, count in axes]
     rows = []
-    for combo in itertools.product(*(vals for _, vals in axes)):
+    for combo in itertools.product(*grids):
         values = dict(base)
-        for (name, _), v in zip(axes, combo):
-            values[name] = v
-        stated, derived = _point_reports(theorem, values, ctrl)
-        rows.append(
-            [theorem]
-            + [_csv_num(values[name]) for name in _PARAM_NAMES]
-            + [
-                _csv_num(stated.lhs),
-                _csv_num(stated.rhs),
-                str(stated.satisfied).lower(),
-                _csv_num(derived.lhs),
-                _csv_num(derived.rhs),
-                str(derived.satisfied).lower(),
-            ]
-        )
+        values.update(zip(names, combo))
+        row = [theorem] + [_csv_num(values[name]) for name in _PARAM_NAMES]
+        for rep in _point_reports(theorem, values, ctrl):
+            row += [_csv_num(rep.lhs), _csv_num(rep.rhs), str(rep.satisfied).lower()]
+        rows.append(row)
     with open(opts["out"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["theorem"] + _SCAN_HEADER)
@@ -388,13 +383,15 @@ def _cmd_scan(theorem: str, opts) -> int:
     return EXIT_OK
 
 
-def _verify_sources(opts, rng):
+def _mapping_sources(opts, rng):
+    """Mappings named by --f: identity, random (--count of them, else one),
+    classbound:<class> or file:<path>."""
     source = opts["f"]
     nmax = _parse_int(opts["nmax"], "nmax")
     if source == "identity":
         return [CoefficientSeq()]
     if source == "random":
-        count = _parse_int(opts["count"], "count")
+        count = _parse_int(opts.get("count", "1"), "count")
         if count < 1:
             raise DomainError(f"count must be >= 1, got {count}")
         return [random_coefficients(rng, nmax) for _ in range(count)]
@@ -410,11 +407,10 @@ def _verify_sources(opts, rng):
 
 
 def _cmd_verify(theorem: str, opts) -> int:
+    """criteria vs geometric oracle"""
     if theorem not in THEOREM_IDS:
         raise DomainError(f"unknown theorem id {theorem!r}")
-    gate = opts["gate"]
-    if gate not in ("stated", "derived"):
-        raise DomainError(f"gate must be 'stated' or 'derived', got {gate!r}")
+    gate = _gate(opts)
     spec = _conv_spec(opts)
     order = _parse_float(opts["order"], "order")
     ctrl = _ctrl(opts)
@@ -423,38 +419,32 @@ def _cmd_verify(theorem: str, opts) -> int:
     )
     rng = np.random.default_rng(_parse_int(opts["seed"], "seed"))
     counts = {"CONSISTENT": 0, "VACUOUS": 0, "COUNTEREXAMPLE": 0}
-    for k, f in enumerate(_verify_sources(opts, rng)):
+    quantity = THEOREMS[theorem].quantity
+    for k, f in enumerate(_mapping_sources(opts, rng)):
         img = convolve(f, spec)
         b1_eff = abs(img.g[1]) if img.g.size > 1 else 0.0
-        stated, derived = stated_hypothesis(theorem, spec, order, b1_eff, ctrl)
-        gated = derived if gate == "derived" else stated
+        gated = stated_hypothesis(theorem, spec, order, b1_eff, ctrl)[gate]
         if not gated.satisfied:
             counts["VACUOUS"] += 1
             print(f"f[{k}]: VACUOUS ({gated.form} lhs={_fmt(gated.lhs)} > rhs={_fmt(gated.rhs)})")
             continue
-        if theorem in _STARLIKE_THEOREMS or theorem in _CONVEX_THEOREMS:
-            quantity = "dtheta_arg_f" if theorem in _STARLIKE_THEOREMS else "dtheta_arg_ftheta"
+        if quantity:
             rep = sweep(img, grid, quantity, order - 1e-9)
-            if rep.violations:
-                v = rep.violations[0]
-                counts["COUNTEREXAMPLE"] += 1
-                print(
-                    f"f[{k}]: COUNTEREXAMPLE {quantity} at r={_fmt(v.point.r)} "
-                    f"theta={_fmt(v.point.theta)} value={_fmt(v.value)} ({v.kind})"
-                )
-            else:
-                counts["CONSISTENT"] += 1
-                print(f"f[{k}]: CONSISTENT (min {quantity} = {_fmt(rep.min_value)})")
+            v = rep.violations[0] if rep.violations else None
+            failure = v and (
+                f"{quantity} at r={_fmt(v.point.r)} "
+                f"theta={_fmt(v.point.theta)} value={_fmt(v.value)} ({v.kind})"
+            )
+            success = f"min {quantity} = {_fmt(rep.min_value)}"
         else:
             probes = close_to_convex_probe(img)
             failing = [p for p in probes if not p.satisfied]
-            if failing:
-                counts["COUNTEREXAMPLE"] += 1
-                print(f"f[{k}]: COUNTEREXAMPLE close-to-convex probe {failing[0].id} "
-                      f"lhs={_fmt(failing[0].lhs)} > 1")
-            else:
-                counts["CONSISTENT"] += 1
-                print(f"f[{k}]: CONSISTENT (all {len(probes)} epsilon probes pass)")
+            failure = failing and (
+                f"close-to-convex probe {failing[0].id} lhs={_fmt(failing[0].lhs)} > 1"
+            )
+            success = f"all {len(probes)} epsilon probes pass"
+        counts["COUNTEREXAMPLE" if failure else "CONSISTENT"] += 1
+        print(f"f[{k}]: COUNTEREXAMPLE {failure}" if failure else f"f[{k}]: CONSISTENT ({success})")
     print(
         f"verdicts: {counts['CONSISTENT']} consistent, {counts['VACUOUS']} vacuous, "
         f"{counts['COUNTEREXAMPLE']} counterexample"
@@ -475,11 +465,8 @@ def sample_boundary_curves(img: ImageCoefficients, radii, theta_count: int):
     if theta_count < 64:
         raise DomainError(f"theta_count must be >= 64, got {theta_count}")
     thetas = 2 * np.pi * np.arange(theta_count) / theta_count
-    curves = []
-    for r in radii:
-        z = r * np.exp(1j * thetas)
-        curves.append(npoly.polyval(z, img.h) + np.conj(npoly.polyval(z, img.g)))
-    return curves
+    h, s = eval_parts(img, np.array(radii)[:, None] * np.exp(1j * thetas))
+    return list(h + np.conj(s))
 
 
 def curves_to_svg(curves, width: int, height: int) -> str:
@@ -515,30 +502,21 @@ def curves_to_svg(curves, width: int, height: int) -> str:
 
 
 def _cmd_render(opts) -> int:
+    """boundary curves to SVG"""
     radii = parse_float_list(opts["radii"])
     theta_count = _parse_int(opts["theta-count"], "theta-count")
     width = _parse_int(opts["width"], "width")
     height = _parse_int(opts["height"], "height")
     rng = np.random.default_rng(_parse_int(opts["seed"], "seed"))
-    nmax = _parse_int(opts["nmax"], "nmax")
-
-    source = opts["f"]
-    if source == "identity":
-        f = CoefficientSeq()
-    elif source == "random":
-        f = random_coefficients(rng, nmax)
+    [f] = _mapping_sources(opts, rng)
+    if opts["f"] == "random":
         scale = 0.45 / max(np.abs(f.a).sum() + np.abs(f.b).sum(), 1.0)  # keep it univalent-ish
         f = CoefficientSeq(f.a * scale, f.b * scale)
-    elif source.startswith("file:"):
-        f = read_coeff_csv(source.split(":", 1)[1])
-    else:
-        raise DomainError(f"render f source must be identity, random or file:<path>, got {source!r}")
 
     if opts["p1"] or opts["p2"] or opts["sigma"]:
-        p1 = parse_params(opts["p1"]) if opts["p1"] else WrightParams(1, 1, 1, 1)
-        p2 = parse_params(opts["p2"]) if opts["p2"] else p1
-        sigma = parse_complex(opts["sigma"]) if opts["sigma"] else 0j
-        img = convolve(f, ConvolutionSpec(p1, p2, sigma))
+        # Render's kernel options are optional: p1 defaults to 1,1,1,1 and sigma to 0.
+        kernel = {"p1": opts["p1"] or "1,1,1,1", "p2": opts["p2"], "sigma": opts["sigma"] or "0"}
+        img = convolve(f, _conv_spec(kernel))
     else:
         img = ImageCoefficients(f.a, f.b)
 
@@ -552,13 +530,21 @@ def _cmd_render(opts) -> int:
 
 # ----------------------------------- main -----------------------------------
 
+# Each command's handler; its docstring is the command's help line.
+_COMMANDS = {
+    "eval": _cmd_eval,
+    "derivs": _cmd_derivs,
+    "check": _cmd_check,
+    "scan": _cmd_scan,
+    "verify": _cmd_verify,
+    "render": _cmd_render,
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ctrl-max-terms", type=str)
-    common.add_argument("--ctrl-tol", type=str)
-    common.add_argument("--config", type=str)
-    common.add_argument("--seed", type=str)
+    for key in (*_GLOBAL_DEFAULTS, "config"):
+        common.add_argument(f"--{key}")
     common.add_argument("--show-config", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -566,57 +552,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Wright-kernel harmonic mapping toolkit: evaluate, check, scan, verify, render.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate the series at a point")
-    p_eval.add_argument("--p", type=str)
-    p_eval.add_argument("--z", type=str)
-
-    p_derivs = sub.add_parser("derivs", parents=[common], help="derivative values at z = 1")
-    p_derivs.add_argument("--p", type=str)
-
-    p_check = sub.add_parser("check", parents=[common], help="check one sufficient condition")
-    p_check.add_argument("theorem", choices=THEOREM_IDS)
-    for flag in ("--p1", "--p2", "--sigma", "--order", "--b1", "--gate"):
-        p_check.add_argument(flag, type=str)
-
-    p_scan = sub.add_parser("scan", parents=[common], help="grid scan to CSV")
-    p_scan.add_argument("theorem", choices=THEOREM_IDS)
-    p_scan.add_argument("--axis", action="append", type=str)
-    p_scan.add_argument("--fix", action="append", type=str)
-    p_scan.add_argument("--out", type=str)
-
-    p_verify = sub.add_parser("verify", parents=[common], help="criteria vs geometric oracle")
-    p_verify.add_argument("theorem", choices=THEOREM_IDS)
-    for flag in (
-        "--p1",
-        "--p2",
-        "--sigma",
-        "--order",
-        "--b1",
-        "--f",
-        "--count",
-        "--nmax",
-        "--radii",
-        "--theta-count",
-        "--gate",
-    ):
-        p_verify.add_argument(flag, type=str)
-
-    p_render = sub.add_parser("render", parents=[common], help="boundary curves to SVG")
-    for flag in (
-        "--f",
-        "--p1",
-        "--p2",
-        "--sigma",
-        "--nmax",
-        "--radii",
-        "--theta-count",
-        "--width",
-        "--height",
-        "--out",
-    ):
-        p_render.add_argument(flag, type=str)
-
+    for cmd, defaults in _CMD_DEFAULTS.items():
+        p_cmd = sub.add_parser(cmd, parents=[common], help=_COMMANDS[cmd].__doc__)
+        if cmd in _THEOREM_COMMANDS:
+            p_cmd.add_argument("theorem", choices=THEOREM_IDS)
+        for key in defaults:
+            p_cmd.add_argument(f"--{key}", action="append" if key in _LIST_OPTIONS else "store")
     return parser
 
 
@@ -627,19 +568,9 @@ def main(argv=None) -> int:
         opts = _effective_options(cmd, args)
         if args.show_config:
             _show_config(cmd, opts)
-        if cmd == "eval":
-            return _cmd_eval(opts)
-        if cmd == "derivs":
-            return _cmd_derivs(opts)
-        if cmd == "check":
-            return _cmd_check(args.theorem, opts)
-        if cmd == "scan":
-            return _cmd_scan(args.theorem, opts)
-        if cmd == "verify":
-            return _cmd_verify(args.theorem, opts)
-        if cmd == "render":
-            return _cmd_render(opts)
-        raise DomainError(f"unknown command {cmd!r}")
+        if cmd in _THEOREM_COMMANDS:
+            return _COMMANDS[cmd](args.theorem, opts)
+        return _COMMANDS[cmd](opts)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

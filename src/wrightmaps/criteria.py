@@ -35,25 +35,31 @@ FORM_STATED = "as_stated"
 FORM_DERIVED = "as_derived"
 FORM_EXACT = "exact"
 
-THEOREM_IDS = (
-    "T3.1",
-    "T3.2",
-    "T3.3",
-    "T4.1",
-    "T4.2",
-    "T4.3",
-    "T5.1",
-    "T5.2",
-    "T5.3",
-    "T5.4",
-    "C1",
-    "R1",
-)
 
-# Identifiers consuming |B_1|; everyone else ignores the b1 argument.
-_B1_THEOREMS = ("T5.1", "T5.4")
-# gamma_i = delta_i = 1 forced before evaluation.
-_REDUCED = {"C1": "T3.1", "R1": "T4.1"}
+@dataclass(frozen=True)
+class TheoremRoute:
+    """How one identifier is evaluated and how the CLI cross-checks it."""
+
+    uses_b1: bool = False  # the condition reads |B_1|; all other identifiers ignore it
+    reduces_to: str | None = None  # force gamma_i = delta_i = 1, then use these formulas
+    quantity: str | None = None  # oracle quantity to keep above the order; None: epsilon probe
+
+
+THEOREMS = {
+    "T3.1": TheoremRoute(quantity="dtheta_arg_f"),
+    "T3.2": TheoremRoute(quantity="dtheta_arg_f"),
+    "T3.3": TheoremRoute(quantity="dtheta_arg_f"),
+    "T4.1": TheoremRoute(quantity="dtheta_arg_ftheta"),
+    "T4.2": TheoremRoute(quantity="dtheta_arg_ftheta"),
+    "T4.3": TheoremRoute(quantity="dtheta_arg_ftheta"),
+    "T5.1": TheoremRoute(uses_b1=True),
+    "T5.2": TheoremRoute(),
+    "T5.3": TheoremRoute(),
+    "T5.4": TheoremRoute(uses_b1=True),
+    "C1": TheoremRoute(reduces_to="T3.1", quantity="dtheta_arg_f"),
+    "R1": TheoremRoute(reduces_to="T4.1", quantity="dtheta_arg_ftheta"),
+}
+THEOREM_IDS = tuple(THEOREMS)
 
 
 @dataclass(frozen=True)
@@ -82,26 +88,25 @@ def _check_order(order: float) -> float:
     return order
 
 
-def lemma1_sum(a_abs, b_abs, order: float) -> CriterionReport:
-    """sum (n - order)|A_n| + sum (n + order)|B_n|  vs  1 - order."""
+def _lemma_sum(rid: str, a_abs, b_abs, order: float, power: int) -> CriterionReport:
+    """sum n^power (n - order)|A_n| + sum n^power (n + order)|B_n|  vs  1 - order."""
     order = _check_order(order)
     a_abs = np.atleast_1d(np.asarray(a_abs, dtype=float))
     b_abs = np.atleast_1d(np.asarray(b_abs, dtype=float))
     n_a = np.arange(2, 2 + a_abs.size)
     n_b = np.arange(1, 1 + b_abs.size)
-    lhs = np.sum((n_a - order) * a_abs) + np.sum((n_b + order) * b_abs)
-    return _report("L1", lhs, 1.0 - order, FORM_EXACT)
+    lhs = np.sum(n_a**power * (n_a - order) * a_abs) + np.sum(n_b**power * (n_b + order) * b_abs)
+    return _report(rid, lhs, 1.0 - order, FORM_EXACT)
+
+
+def lemma1_sum(a_abs, b_abs, order: float) -> CriterionReport:
+    """sum (n - order)|A_n| + sum (n + order)|B_n|  vs  1 - order."""
+    return _lemma_sum("L1", a_abs, b_abs, order, 0)
 
 
 def lemma2_sum(a_abs, b_abs, order: float) -> CriterionReport:
     """sum n(n - order)|A_n| + sum n(n + order)|B_n|  vs  1 - order."""
-    order = _check_order(order)
-    a_abs = np.atleast_1d(np.asarray(a_abs, dtype=float))
-    b_abs = np.atleast_1d(np.asarray(b_abs, dtype=float))
-    n_a = np.arange(2, 2 + a_abs.size)
-    n_b = np.arange(1, 1 + b_abs.size)
-    lhs = np.sum(n_a * (n_a - order) * a_abs) + np.sum(n_b * (n_b + order) * b_abs)
-    return _report("L2", lhs, 1.0 - order, FORM_EXACT)
+    return _lemma_sum("L2", a_abs, b_abs, order, 1)
 
 
 def lemma5_sum(t_abs) -> CriterionReport:
@@ -116,13 +121,9 @@ def lemma6_membership(a_abs, b_abs, order: float, klass: str) -> CriterionReport
 
     klass 'SRH' uses the lemma1 weights, 'KRH' the lemma2 weights.
     """
-    if klass == "SRH":
-        rep = lemma1_sum(a_abs, b_abs, order)
-    elif klass == "KRH":
-        rep = lemma2_sum(a_abs, b_abs, order)
-    else:
+    if klass not in ("SRH", "KRH"):
         raise DomainError(f"class must be 'SRH' or 'KRH', got {klass!r}")
-    return dataclasses.replace(rep, id=f"L6:{klass}")
+    return _lemma_sum(f"L6:{klass}", a_abs, b_abs, order, ("SRH", "KRH").index(klass))
 
 
 def class_bound_coeffs(klass: str, b1: float = 0.0, n_max: int = 50):
@@ -214,14 +215,14 @@ def stated_hypothesis(
         raise DomainError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     order = _check_order(order)
     b = abs(b1)
-    if theorem_id in _B1_THEOREMS and b >= 1:
+    route = THEOREMS[theorem_id]
+    if route.uses_b1 and b >= 1:
         raise DomainError(f"|B_1| must be < 1 for {theorem_id}, got {b}")
     p1, p2 = spec.p1, spec.p2
     tid = theorem_id
-    if theorem_id in _REDUCED:
-        p1 = WrightParams(p1.alpha, p1.beta, 1.0, 1.0)
-        p2 = WrightParams(p2.alpha, p2.beta, 1.0, 1.0)
-        tid = _REDUCED[theorem_id]
+    if route.reduces_to:
+        p1, p2 = (WrightParams(p.alpha, p.beta, 1.0, 1.0) for p in (p1, p2))
+        tid = route.reduces_to
     d1 = derivs_at_one(p1, ctrl)
     d2 = derivs_at_one(p2, ctrl)
     sl, sr, dl, dr = _formulas(tid, d1, d2, abs(spec.sigma), order, b)
@@ -233,13 +234,10 @@ def stated_hypothesis(
 
 def exact_image_criterion(img: ImageCoefficients, order: float, target: str) -> CriterionReport:
     """Ground-truth sufficiency check on the image's own coefficients."""
-    if target == "starlike_L1":
-        rep = lemma1_sum(np.abs(img.ha), np.abs(img.gb), order)
-    elif target == "convex_L2":
-        rep = lemma2_sum(np.abs(img.ha), np.abs(img.gb), order)
-    else:
+    if target not in ("starlike_L1", "convex_L2"):
         raise DomainError(f"target must be 'starlike_L1' or 'convex_L2', got {target!r}")
-    return dataclasses.replace(rep, id=target)
+    power = ("starlike_L1", "convex_L2").index(target)
+    return _lemma_sum(target, np.abs(img.ha), np.abs(img.gb), order, power)
 
 
 def default_epsilons() -> np.ndarray:

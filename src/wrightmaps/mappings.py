@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError
-from .wright import WrightParams, norm_coeff
+from .wright import WrightParams, norm_coeffs
 
 
 class CoefficientSeq:
@@ -29,6 +29,8 @@ class CoefficientSeq:
         self.b = np.atleast_1d(np.asarray(b, dtype=complex))
         if self.a.ndim != 1 or self.b.ndim != 1:
             raise DomainError("coefficient sequences must be one-dimensional")
+        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
+            raise DomainError("coefficients must be finite")
         if self.b.size and abs(self.b[0]) >= 1:
             raise DomainError(f"|B_1| must be < 1, got {abs(self.b[0])}")
 
@@ -99,29 +101,27 @@ def identity_image() -> ImageCoefficients:
 
 def convolve(f: CoefficientSeq, spec: ConvolutionSpec) -> ImageCoefficients:
     """Coefficientwise products: ha[n] = c_n(p1) A_n, gb[n] = sigma c_n(p2) B_n."""
-    ha = np.array([norm_coeff(spec.p1, n) for n in range(2, 2 + f.a.size)], dtype=complex) * f.a
-    gb = (
-        spec.sigma
-        * np.array([norm_coeff(spec.p2, n) for n in range(1, 1 + f.b.size)], dtype=complex)
-        * f.b
-    )
+    ha = np.array(norm_coeffs(spec.p1, 1 + f.a.size)[1:], dtype=complex) * f.a
+    gb = spec.sigma * np.array(norm_coeffs(spec.p2, f.b.size), dtype=complex) * f.b
     return ImageCoefficients(ha, gb)
+
+
+def eval_parts(img: ImageCoefficients, z, order: int = 0):
+    """(H^(order)(z), S^(order)(z)) with S = sigma*G, by Horner's rule at a point or array z."""
+    return tuple(npoly.polyval(z, npoly.polyder(c, order)) for c in (img.h, img.g))
 
 
 def eval_map(img: ImageCoefficients, pt: EvalPoint) -> complex:
     """Value H(z) + conj(sigma*G(z)) at z = r*e^{i*theta}."""
-    z = pt.z
-    return complex(npoly.polyval(z, img.h) + np.conj(npoly.polyval(z, img.g)))
+    h, s = eval_parts(img, pt.z)
+    return complex(h + np.conj(s))
 
 
 def eval_derivs(img: ImageCoefficients, pt: EvalPoint):
     """(H'(z), H''(z), (sigma G)'(z), (sigma G)''(z)) by term-wise differentiation."""
-    z = pt.z
-    hp = complex(npoly.polyval(z, npoly.polyder(img.h)))
-    hpp = complex(npoly.polyval(z, npoly.polyder(img.h, 2)))
-    gp = complex(npoly.polyval(z, npoly.polyder(img.g)))
-    gpp = complex(npoly.polyval(z, npoly.polyder(img.g, 2)))
-    return hp, hpp, gp, gpp
+    hp, gp = eval_parts(img, pt.z, 1)
+    hpp, gpp = eval_parts(img, pt.z, 2)
+    return complex(hp), complex(hpp), complex(gp), complex(gpp)
 
 
 def random_coefficients(rng: np.random.Generator, n_max: int = 50) -> CoefficientSeq:

@@ -18,14 +18,12 @@ coefficient criterion alongside a clean sweep is a legitimate outcome.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, SingularPointError
-from .mappings import EvalPoint, ImageCoefficients
+from .mappings import EvalPoint, ImageCoefficients, eval_parts
 
 QUANTITIES = ("dtheta_arg_f", "dtheta_arg_ftheta", "jacobian_margin")
 
@@ -54,7 +52,8 @@ class SampleGrid:
 
 @dataclass(frozen=True)
 class Violation:
-    """One sub-threshold site; kind 'singular' marks a vanishing denominator."""
+    """One sub-threshold site; kind 'singular' marks a vanishing denominator,
+    'nonfinite' a value that is NaN or infinite."""
 
     point: EvalPoint
     value: float
@@ -76,42 +75,32 @@ class OracleReport:
         return not self.violations
 
 
-def _bundle(img: ImageCoefficients):
-    return (
-        img.h,
-        npoly.polyder(img.h),
-        npoly.polyder(img.h, 2),
-        img.g,
-        npoly.polyder(img.g),
-        npoly.polyder(img.g, 2),
-    )
+def _ratio(num, den):
+    """(num / den, singular_mask), with den treated as zero below SINGULAR_EPS."""
+    singular = np.abs(den) < SINGULAR_EPS
+    return num / np.where(singular, 1.0, den), singular
 
 
-def _quantity_values(bundle, z, quantity):
+def _quantity_values(img: ImageCoefficients, z, quantity):
     """Vectorized evaluation; returns (values, singular_mask)."""
-    h, hd, hdd, g, gd, gdd = bundle
-    hp = npoly.polyval(z, hd)
-    sp = npoly.polyval(z, gd)
+    hp, sp = eval_parts(img, z, 1)
     if quantity == "jacobian_margin":
         return np.abs(hp) - np.abs(sp), np.zeros(np.shape(z), dtype=bool)
     if quantity == "dtheta_arg_f":
-        f = npoly.polyval(z, h) + np.conj(npoly.polyval(z, g))
-        singular = np.abs(f) < SINGULAR_EPS
-        safe = np.where(singular, 1.0, f)
-        return np.real((z * hp - np.conj(z * sp)) / safe), singular
+        h, s = eval_parts(img, z)
+        ratio, singular = _ratio(z * hp - np.conj(z * sp), h + np.conj(s))
+        return np.real(ratio), singular
     if quantity == "dtheta_arg_ftheta":
-        hpp = npoly.polyval(z, hdd)
-        spp = npoly.polyval(z, gdd)
+        hpp, spp = eval_parts(img, z, 2)
         f_th = 1j * (z * hp - np.conj(z * sp))
         f_thth = -(z * hp + z * z * hpp + np.conj(z * sp + z * z * spp))
-        singular = np.abs(f_th) < SINGULAR_EPS
-        safe = np.where(singular, 1.0, f_th)
-        return np.imag(f_thth / safe), singular
+        ratio, singular = _ratio(f_thth, f_th)
+        return np.imag(ratio), singular
     raise DomainError(f"unknown quantity {quantity!r}; known: {', '.join(QUANTITIES)}")
 
 
 def _scalar(img, pt, quantity):
-    vals, singular = _quantity_values(_bundle(img), np.array([pt.z]), quantity)
+    vals, singular = _quantity_values(img, np.array([pt.z]), quantity)
     if singular[0]:
         raise SingularPointError(f"{quantity} undefined at r={pt.r}, theta={pt.theta}")
     return float(vals[0])
@@ -135,30 +124,26 @@ def jacobian_margin(img: ImageCoefficients, pt: EvalPoint) -> float:
 def sweep(img: ImageCoefficients, grid: SampleGrid, quantity: str, threshold: float) -> OracleReport:
     """Evaluate `quantity` on the whole grid; record minimum and sub-threshold sites.
 
-    Singular points are recorded as violations of kind 'singular' with value
-    -inf (a zero of f off the origin is itself a failure), never raised.
-    Violations are ordered radius-major, then by angle.
+    Singular points and non-finite values (NaN, or an overflow) are recorded as
+    violations of kind 'singular' or 'nonfinite' with value -inf, never raised:
+    a zero of f off the origin is itself a failure, and a value that is not a
+    number cannot show that the inequality holds.  Violations are ordered
+    radius-major, then by angle.
     """
-    bundle = _bundle(img)
     threshold = float(threshold)
-    min_value = math.inf
-    argmin = None
-    violations = []
-    for r in grid.radii:
-        thetas = 2 * np.pi * np.arange(grid.theta_count) / grid.theta_count
-        z = r * np.exp(1j * thetas)
-        vals, singular = _quantity_values(bundle, z, quantity)
-        vals = np.where(singular, -np.inf, vals)
-        i = int(np.argmin(vals))
-        if vals[i] < min_value:
-            min_value = float(vals[i])
-            argmin = EvalPoint(r, float(thetas[i]))
-        for j in np.flatnonzero(vals < threshold):
-            violations.append(
-                Violation(
-                    EvalPoint(r, float(thetas[j])),
-                    float(vals[j]),
-                    "singular" if singular[j] else "value",
-                )
-            )
-    return OracleReport(quantity, min_value, argmin, violations, threshold)
+    thetas = 2 * np.pi * np.arange(grid.theta_count) / grid.theta_count
+    z = np.array(grid.radii)[:, None] * np.exp(1j * thetas)
+    vals, singular = _quantity_values(img, z, quantity)
+    finite = np.isfinite(vals)
+    vals = np.where(singular | ~finite, -np.inf, vals)
+    violations = [
+        Violation(
+            EvalPoint(grid.radii[i], float(thetas[j])),
+            float(vals[i, j]),
+            "singular" if singular[i, j] else "value" if finite[i, j] else "nonfinite",
+        )
+        for i, j in np.argwhere(vals < threshold)
+    ]
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    argmin = EvalPoint(grid.radii[i], float(thetas[j]))
+    return OracleReport(quantity, float(vals[i, j]), argmin, violations, threshold)

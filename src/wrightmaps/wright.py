@@ -10,16 +10,16 @@ entire in z whenever beta + delta > 0.  Its normalized companion
          = sum_{n>=1} c_n z^n,   c_n = Gamma(alpha)Gamma(gamma) /
                                        (Gamma(alpha+(n-1)beta) Gamma(gamma+(n-1)delta))
 
-has W(0) = 0 and W'(0) = 1 (c_1 = 1).  All gamma ratios are computed as
-differences of log-gamma values so that no intermediate overflows.
+has W(0) = 0 and W'(0) = 1 (c_1 = 1).  Every function here reads its terms
+from one certified-sum kernel, `_terms`, which computes each gamma ratio as a
+difference of log-gamma values so that no intermediate overflows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, DomainError
 
@@ -29,6 +29,13 @@ from .errors import ConvergenceError, DomainError
 # convex, hence the term ratio is strictly decreasing in n and the observed
 # ratio bound stays valid for the whole tail.
 _TAIL_SAFETY = 2.0
+
+# log Gamma(x) is log(gamma(x)) for _GAMMA_LO < x < _GAMMA_HI and lgamma(x)
+# elsewhere.  Below 12, lgamma is 1-2 ulp less accurate, which moves pinned last
+# digits; from 12 up both are within a few ulp of log Gamma, and lgamma is three
+# times faster.  gamma(x) overflows below about 5.6e-309.
+_GAMMA_LO = 1e-300
+_GAMMA_HI = 12.0
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,50 @@ class DerivativeValues:
     wppp1: float
 
 
+def _terms(p: WrightParams, r: float, normalized=True, weight=0, ctrl=DEFAULT_CONTROL):
+    """The certified-sum kernel: term magnitudes t_k for k = 0, 1, ...
+
+    t_k = r^k / (Gamma(alpha + k*beta) Gamma(gamma + k*delta)), or, when
+    `normalized`, the normalized series term t_k = c_{k+1} r^(k+1).  Stops right
+    after the first t_k whose weighted size (k+1)^weight * t_k is at most half
+    the previous one and at most tail_tol / _TAIL_SAFETY, which bounds the
+    weighted tail of the sum below tail_tol; ConvergenceError if that takes more
+    than ctrl.max_terms terms.  Requires r > 0.
+    """
+    log, gamma, lgamma, exp = math.log, math.gamma, math.lgamma, math.exp
+    alpha, beta, gam, delta = p.alpha, p.beta, p.gamma, p.delta
+    lo, hi = _GAMMA_LO, _GAMMA_HI
+    log_r = log(r)
+    shift, power = 0.0, int(normalized)
+    tol = ctrl.tail_tol
+    prev = math.nan  # no ratio exists before the second term, and nan compares false
+    for k in range(ctrl.max_terms):
+        a = alpha + k * beta
+        g = gam + k * delta
+        la = log(gamma(a)) if lo < a < hi else lgamma(a)
+        lg = log(gamma(g)) if lo < g < hi else lgamma(g)
+        if normalized and not k:
+            shift = la + lg  # log(Gamma(alpha) Gamma(gamma))
+        t = exp(shift + (k + power) * log_r - la - lg)
+        yield t
+        weighted = (k + 1) ** weight * t
+        if weighted <= 0.5 * prev and _TAIL_SAFETY * weighted <= tol:
+            return
+        prev = weighted
+    raise ConvergenceError(f"series tail not below {tol} within {ctrl.max_terms} terms for {p}, r={r}")
+
+
+def norm_coeffs(p: WrightParams, count: int) -> list:
+    """[c_1, ..., c_count] in one pass of the kernel.
+
+    The least positive tolerance stops it only at a c_n that rounds to 0 past the
+    peak of the log-concave c_n, where every later one rounds to 0 too.
+    """
+    ctrl = SeriesControl(max(count, 2), math.ulp(0.0))
+    coeffs = list(itertools.islice(_terms(p, 1.0, ctrl=ctrl), count))
+    return coeffs + [0.0] * (count - len(coeffs))
+
+
 def norm_coeff(p: WrightParams, n: int) -> float:
     """Coefficient c_n of the normalized series, n >= 1.
 
@@ -97,68 +148,31 @@ def norm_coeff(p: WrightParams, n: int) -> float:
     """
     if n < 1 or int(n) != n:
         raise DomainError(f"coefficient index must be an integer >= 1, got {n}")
-    return float(
-        math.exp(
-            gammaln(p.alpha)
-            + gammaln(p.gamma)
-            - gammaln(p.alpha + (n - 1) * p.beta)
-            - gammaln(p.gamma + (n - 1) * p.delta)
-        )
-    )
+    return norm_coeffs(p, int(n))[-1]
+
+
+def _phase_sum(p: WrightParams, z, normalized: bool, ctrl: SeriesControl) -> complex:
+    """The kernel's terms at r = |z|, each times its power of z/|z|."""
+    z = complex(z)
+    if z == 0:
+        return 0j if normalized else complex(next(_terms(p, 1.0, normalized=False)))
+    phase = z / abs(z)
+    term_phase = phase if normalized else 1 + 0j
+    total = 0j
+    for t in _terms(p, abs(z), normalized=normalized, ctrl=ctrl):
+        total += t * term_phase
+        term_phase *= phase
+    return total
 
 
 def wright_eval(p: WrightParams, z: complex, ctrl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """Partial sum of the base series with certified tail below ctrl.tail_tol."""
-    z = complex(z)
-    if z == 0:
-        return complex(math.exp(-gammaln(p.alpha) - gammaln(p.gamma)))
-    log_r = math.log(abs(z))
-    phase = z / abs(z)
-    total = 0j
-    term_phase = 1 + 0j
-    prev_mag = math.inf
-    for n in range(ctrl.max_terms):
-        mag = math.exp(
-            n * log_r - gammaln(p.alpha + n * p.beta) - gammaln(p.gamma + n * p.delta)
-        )
-        total += mag * term_phase
-        if n >= 1 and mag <= 0.5 * prev_mag and _TAIL_SAFETY * mag <= ctrl.tail_tol:
-            return total
-        prev_mag = mag
-        term_phase *= phase
-    raise ConvergenceError(
-        f"series tail not below {ctrl.tail_tol} within {ctrl.max_terms} terms for {p}, z={z}"
-    )
+    return _phase_sum(p, z, False, ctrl)
 
 
 def normalized_eval(p: WrightParams, z: complex, ctrl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """Normalized series sum_{n>=1} c_n z^n; equals z*Gamma(alpha)*Gamma(gamma)*wright_eval."""
-    z = complex(z)
-    if z == 0:
-        return 0j
-    la = gammaln(p.alpha)
-    lg = gammaln(p.gamma)
-    log_r = math.log(abs(z))
-    phase = z / abs(z)
-    total = 0j
-    term_phase = phase
-    prev_mag = math.inf
-    for n in range(1, ctrl.max_terms + 1):
-        mag = math.exp(
-            la
-            + lg
-            + n * log_r
-            - gammaln(p.alpha + (n - 1) * p.beta)
-            - gammaln(p.gamma + (n - 1) * p.delta)
-        )
-        total += mag * term_phase
-        if n >= 2 and mag <= 0.5 * prev_mag and _TAIL_SAFETY * mag <= ctrl.tail_tol:
-            return total
-        prev_mag = mag
-        term_phase *= phase
-    raise ConvergenceError(
-        f"normalized series tail not below {ctrl.tail_tol} within {ctrl.max_terms} terms for {p}"
-    )
+    return _phase_sum(p, z, True, ctrl)
 
 
 def derivs_at_one(p: WrightParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> DerivativeValues:
@@ -168,25 +182,10 @@ def derivs_at_one(p: WrightParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> Der
     The stop rule bounds the heaviest tail: the current term is weighted by n^3
     (which dominates all four weights) before comparison against tail_tol.
     """
-    la = gammaln(p.alpha)
-    lg = gammaln(p.gamma)
     w1 = wp1 = wpp1 = wppp1 = 0.0
-    prev_weighted = math.inf
-    for n in range(1, ctrl.max_terms + 1):
-        c = math.exp(
-            la
-            + lg
-            - gammaln(p.alpha + (n - 1) * p.beta)
-            - gammaln(p.gamma + (n - 1) * p.delta)
-        )
+    for n, c in enumerate(_terms(p, 1.0, weight=3, ctrl=ctrl), start=1):
         w1 += c
         wp1 += n * c
         wpp1 += n * (n - 1) * c
         wppp1 += n * (n - 1) * (n - 2) * c
-        weighted = n**3 * c
-        if n >= 2 and weighted <= 0.5 * prev_weighted and _TAIL_SAFETY * weighted <= ctrl.tail_tol:
-            return DerivativeValues(w1, wp1, wpp1, wppp1)
-        prev_weighted = weighted
-    raise ConvergenceError(
-        f"derivative sums not below tolerance {ctrl.tail_tol} within {ctrl.max_terms} terms for {p}"
-    )
+    return DerivativeValues(w1, wp1, wpp1, wppp1)

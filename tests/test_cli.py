@@ -1,5 +1,7 @@
 """Command-line contract: output formats, config handling, exit codes."""
 
+import os
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -297,3 +299,44 @@ def test_svg_writer_rejects_bad_viewport():
     curves = sample_boundary_curves(identity_image(), [0.5], 64)
     with pytest.raises(Exception):
         curves_to_svg(curves, 0, 100)
+
+
+def test_verify_rejects_non_finite_coefficient_file(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("part,n,re,im\na,2,nan,0\n", encoding="utf-8")
+    out = run_cli("verify", "T3.1", "--p1", "2,1,2,1", "--f", f"file:{path}")
+    assert out.returncode == 2
+    assert "CONSISTENT" not in out.stdout
+    with pytest.raises(Exception):
+        read_coeff_csv(str(path))
+
+
+def run_cli_bounded(*args, seconds=30, address_space=1 << 30):
+    """run_cli in a child with a time and an address-space limit: a runaway fails, not hangs."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "wrightmaps", *args],
+            capture_output=True, text=True, timeout=seconds, preexec_fn=limit, env=env,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"wrightmaps {' '.join(args)} ran for more than {seconds} s")
+
+
+def test_scan_rejects_non_finite_and_oversized_grids(tmp_path):
+    out_csv = str(tmp_path / "x.csv")
+    for axes in (
+        ["sigma=0:0.5:nan"],
+        ["sigma=nan:0.5:0.1"],
+        ["sigma=0:inf:0.5"],
+        ["sigma=0:0.5:1e-9"],  # one axis past the point limit
+        ["sigma=0:0.5:0.0001", "order=0:0.5:0.0001"],  # 5001 x 5001 points
+    ):
+        argv = ["scan", "T3.1", *(f"--axis={axis}" for axis in axes), "--out", out_csv]
+        out = run_cli_bounded(*argv)
+        assert out.returncode == 2, (axes, out.stderr[-300:])
+        assert "Traceback" not in out.stderr

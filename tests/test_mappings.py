@@ -155,3 +155,9 @@ def test_random_coefficients_shape_and_bounds():
     assert abs(f.b[0]) < 1
     again = random_coefficients(np.random.default_rng(123), 50)
     assert np.array_equal(f.a, again.a) and np.array_equal(f.b, again.b)
+
+
+def test_coefficient_seq_rejects_non_finite():
+    for a, b in (([np.nan], []), ([0.1, np.inf], [0.2]), ([], [0.1, complex(0, -np.inf)])):
+        with pytest.raises(DomainError):
+            CoefficientSeq(a, b)

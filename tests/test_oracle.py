@@ -162,3 +162,15 @@ def test_rotation_covariance():
         rot_vals = np.sort([v.value for v in rot.violations])
         assert np.allclose(base_vals, rot_vals, rtol=0, atol=1e-10)
         assert rot.min_value == pytest.approx(base.min_value, abs=1e-10)
+
+
+def test_sweep_records_non_finite_values():
+    # Finite coefficients whose circle values overflow, and a NaN coefficient:
+    # neither may read as a clean sweep.
+    for img in (ImageCoefficients([1e308, 1e308]), ImageCoefficients([np.nan])):
+        with np.errstate(all="ignore"):
+            rep = sweep(img, SampleGrid((0.5,), 64), "dtheta_arg_f", 0.0)
+        assert not rep.clean
+        assert rep.min_value == -math.inf
+        assert {v.kind for v in rep.violations} <= {"nonfinite", "singular"}
+        assert any(v.kind == "nonfinite" for v in rep.violations)

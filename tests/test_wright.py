@@ -1,6 +1,8 @@
 """Series evaluation: frozen values, reductions, index-shift identities."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,3 +203,48 @@ def test_deterministic():
     p = WrightParams(1.3, 0.7, 2.2, 1.9)
     assert wright_eval(p, 0.4 + 0.9j) == wright_eval(p, 0.4 + 0.9j)
     assert derivs_at_one(p) == derivs_at_one(p)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, wrightmaps.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_series_match_mpmath_at_small_alpha_gamma():
+    # Gamma(alpha)Gamma(gamma) reaches 2500 here, so the tolerance must hold for
+    # the normalized terms themselves, not only for the base series they scale.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    tol = 1e-6
+    ctrl = SeriesControl(tail_tol=tol)
+    tiny = mpmath.mpf(10) ** -35
+    for p in (
+        WrightParams(0.3, 0.5, 0.2, 0.25),
+        WrightParams(0.05, 1.0, 0.1, 0.3),
+        WrightParams(0.02, 0.3, 0.02, 0.4),
+    ):
+        a, b, g, d = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.gamma, p.delta))
+        scale = mpmath.gamma(a) * mpmath.gamma(g)
+        for z in (0.9, 0.99, -0.7 + 0.5j, 0.3j):
+            zm, base, n = mpmath.mpc(z), mpmath.mpf(0), 0
+            while True:
+                term = zm**n * mpmath.rgamma(a + n * b) * mpmath.rgamma(g + n * d)
+                base += term
+                n += 1
+                if n > 5 and abs(term) < tiny:
+                    break
+            assert abs(wright_eval(p, z, ctrl) - complex(base)) <= tol
+            assert abs(normalized_eval(p, z, ctrl) - complex(zm * scale * base)) <= tol
+        sums, n = [mpmath.mpf(0)] * 4, 1
+        while True:
+            c = scale * mpmath.rgamma(a + (n - 1) * b) * mpmath.rgamma(g + (n - 1) * d)
+            for j, w in enumerate((1, n, n * (n - 1), n * (n - 1) * (n - 2))):
+                sums[j] += w * c
+            n += 1
+            if n > 5 and n**3 * c < tiny:
+                break
+        got = derivs_at_one(p, ctrl)
+        for ref, value in zip(sums, (got.w1, got.wp1, got.wpp1, got.wppp1)):
+            assert abs(value - float(ref)) <= tol
