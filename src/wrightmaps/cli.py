@@ -1,9 +1,9 @@
 """Command line: series evaluation, condition checks, grid scans, oracle runs, SVG.
 
 Exit codes: 0 pass, 1 hypothesis/criterion fail, 2 domain or usage error,
-3 series non-convergence, 4 I/O failure.  Every option can also be supplied
-in a ``key = value`` config file (``#`` comments allowed, unknown keys
-rejected); explicit flags override the file.
+3 series non-convergence or overflow, 4 I/O failure.  Every option can also
+be supplied in a ``key = value`` config file (``#`` comments allowed, unknown
+keys rejected); explicit flags override the file.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ _LIST_OPTIONS = {"axis", "fix"}
 _THEOREM_COMMANDS = ("check", "scan", "verify")
 # The two forms of every hypothesis report, in stated_hypothesis's order; --gate names one.
 _FORMS = ("stated", "derived")
-# Largest scan grid, in points; counted before any list of axis values exists.
-_MAX_SCAN_POINTS = 1_000_000
+# Largest scan or circle grid, in points, and coefficient index; checked before allocating.
+_MAX_POINTS = 1_000_000
 
 _PARAM_NAMES = (
     "alpha1",
@@ -107,9 +107,12 @@ _SCAN_HEADER = list(_PARAM_NAMES) + [f"{col}_{form}" for form in _FORMS for col 
 
 def _parse_float(text, key):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DomainError(f"{key}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text, key):
@@ -135,13 +138,6 @@ def parse_complex(text: str) -> complex:
     re = _parse_float(parts[0], "complex")
     im = _parse_float(parts[1], "complex") if len(parts) == 2 else 0.0
     return complex(re, im)
-
-
-def parse_float_list(text: str):
-    text = text.strip()
-    if not text:
-        return []
-    return [_parse_float(s, "list") for s in text.split(",")]
 
 
 def _fmt(x: float) -> str:
@@ -252,10 +248,8 @@ def read_coeff_csv(path: str) -> CoefficientSeq:
                 raise DomainError(f"{path}: malformed row {row!r}")
             part, n = row[0].strip(), _parse_int(row[1], "n")
             val = complex(_parse_float(row[2], "re"), _parse_float(row[3], "im"))
-            if not np.isfinite(val):
-                raise DomainError(f"{path}: coefficient must be finite, got row {row!r}")
-            if part not in _FIRST_INDEX or n < _FIRST_INDEX[part]:
-                raise DomainError(f"{path}: bad part/index {part!r}/{n}")
+            if part not in _FIRST_INDEX or not _FIRST_INDEX[part] <= n <= _MAX_POINTS:
+                raise DomainError(f"{path}: bad part/index {part!r}/{n} (n at most {_MAX_POINTS})")
             values[part][n] = val
     seqs = {}
     for part, n0 in _FIRST_INDEX.items():
@@ -329,26 +323,17 @@ def _parse_axis(text: str):
     if len(parts) != 3:
         raise DomainError(f"axis range must be 'start:stop:step', got {spec!r}")
     start, stop, step = (_parse_float(s, name) for s in parts)
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise DomainError(f"axis start, stop and step must be finite, got {spec!r}")
     if step <= 0:
         raise DomainError(f"axis step must be > 0, got {step}")
     limit = stop + 1e-12 * max(1.0, abs(step))
     count = 0
     while start + count * step <= limit:
         count += 1
-        if count > _MAX_SCAN_POINTS:
-            raise DomainError(f"axis {name} has more than {_MAX_SCAN_POINTS} values")
+        if count > _MAX_POINTS:
+            raise DomainError(f"axis {name} has more than {_MAX_POINTS} values")
     if not count:
         raise DomainError(f"axis produced no values (start={start}, stop={stop}, step={step})")
     return name, start, step, count
-
-
-def _point_reports(theorem, values, ctrl):
-    p1 = WrightParams(values["alpha1"], values["beta1"], values["gamma1"], values["delta1"])
-    p2 = WrightParams(values["alpha2"], values["beta2"], values["gamma2"], values["delta2"])
-    spec = ConvolutionSpec(p1, p2, values["sigma"])
-    return stated_hypothesis(theorem, spec, values["order"], values["b1"], ctrl)
 
 
 def _cmd_scan(theorem: str, opts) -> int:
@@ -359,11 +344,9 @@ def _cmd_scan(theorem: str, opts) -> int:
         name, value = _param_setting(text, "fix", "name=value")
         base[name] = _parse_float(value, name)
     axes = [_parse_axis(text) for text in opts["axis"]]
-    if not axes:
-        raise DomainError("scan needs at least one --axis")
     points = math.prod(count for *_, count in axes)
-    if points > _MAX_SCAN_POINTS:
-        raise DomainError(f"scan grid has {points} points, more than {_MAX_SCAN_POINTS}")
+    if points > _MAX_POINTS:
+        raise DomainError(f"scan grid has {points} points, more than {_MAX_POINTS}")
     ctrl = _ctrl(opts)
     names = [name for name, *_ in axes]
     grids = [[start + k * step for k in range(count)] for _, start, step, count in axes]
@@ -372,7 +355,10 @@ def _cmd_scan(theorem: str, opts) -> int:
         values = dict(base)
         values.update(zip(names, combo))
         row = [theorem] + [_csv_num(values[name]) for name in _PARAM_NAMES]
-        for rep in _point_reports(theorem, values, ctrl):
+        p1 = WrightParams(values["alpha1"], values["beta1"], values["gamma1"], values["delta1"])
+        p2 = WrightParams(values["alpha2"], values["beta2"], values["gamma2"], values["delta2"])
+        spec = ConvolutionSpec(p1, p2, values["sigma"])
+        for rep in stated_hypothesis(theorem, spec, values["order"], values["b1"], ctrl):
             row += [_csv_num(rep.lhs), _csv_num(rep.rhs), str(rep.satisfied).lower()]
         rows.append(row)
     with open(opts["out"], "w", encoding="utf-8", newline="") as fh:
@@ -383,18 +369,24 @@ def _cmd_scan(theorem: str, opts) -> int:
     return EXIT_OK
 
 
-def _mapping_sources(opts, rng):
-    """Mappings named by --f: identity, random (--count of them, else one),
-    classbound:<class> or file:<path>."""
+def _mapping_sources(opts):
+    """Mappings named by --f: identity, random (--count of them, else one, drawn
+    lazily from --seed), classbound:<class> or file:<path>."""
     source = opts["f"]
     nmax = _parse_int(opts["nmax"], "nmax")
+    if nmax > _MAX_POINTS:
+        raise DomainError(f"nmax must be <= {_MAX_POINTS}, got {nmax}")
+    seed = _parse_int(opts["seed"], "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if source == "identity":
         return [CoefficientSeq()]
     if source == "random":
         count = _parse_int(opts.get("count", "1"), "count")
         if count < 1:
             raise DomainError(f"count must be >= 1, got {count}")
-        return [random_coefficients(rng, nmax) for _ in range(count)]
+        rng = np.random.default_rng(seed)
+        return (random_coefficients(rng, nmax) for _ in range(count))
     if source.startswith("classbound:"):
         klass = source.split(":", 1)[1]
         a_abs, b_abs = class_bound_coeffs(klass, _parse_float(opts.get("b1", "0"), "b1"), nmax)
@@ -406,21 +398,25 @@ def _mapping_sources(opts, rng):
     )
 
 
+def _circle_grid(opts):
+    """(radii, theta_count) from --radii and --theta-count, at most _MAX_POINTS samples."""
+    radii = [_parse_float(s, "radii") for s in opts["radii"].split(",")]
+    theta_count = _parse_int(opts["theta-count"], "theta-count")
+    if len(radii) * theta_count > _MAX_POINTS:
+        raise DomainError(f"{len(radii)} radii x {theta_count} angles is more than {_MAX_POINTS} points")
+    return radii, theta_count
+
+
 def _cmd_verify(theorem: str, opts) -> int:
     """criteria vs geometric oracle"""
-    if theorem not in THEOREM_IDS:
-        raise DomainError(f"unknown theorem id {theorem!r}")
     gate = _gate(opts)
     spec = _conv_spec(opts)
     order = _parse_float(opts["order"], "order")
     ctrl = _ctrl(opts)
-    grid = SampleGrid(
-        tuple(parse_float_list(opts["radii"])), _parse_int(opts["theta-count"], "theta-count")
-    )
-    rng = np.random.default_rng(_parse_int(opts["seed"], "seed"))
+    grid = SampleGrid(*_circle_grid(opts))
     counts = {"CONSISTENT": 0, "VACUOUS": 0, "COUNTEREXAMPLE": 0}
     quantity = THEOREMS[theorem].quantity
-    for k, f in enumerate(_mapping_sources(opts, rng)):
+    for k, f in enumerate(_mapping_sources(opts)):
         img = convolve(f, spec)
         b1_eff = abs(img.g[1]) if img.g.size > 1 else 0.0
         gated = stated_hypothesis(theorem, spec, order, b1_eff, ctrl)[gate]
@@ -437,11 +433,11 @@ def _cmd_verify(theorem: str, opts) -> int:
             )
             success = f"min {quantity} = {_fmt(rep.min_value)}"
         else:
+            if 68 * max(img.h.size, img.g.size) > _MAX_POINTS:  # 68 epsilons per coefficient
+                raise DomainError(f"the epsilon probe would evaluate more than {_MAX_POINTS} points")
             probes = close_to_convex_probe(img)
-            failing = [p for p in probes if not p.satisfied]
-            failure = failing and (
-                f"close-to-convex probe {failing[0].id} lhs={_fmt(failing[0].lhs)} > 1"
-            )
+            failed = next((p for p in probes if not p.satisfied), None)
+            failure = failed and f"close-to-convex probe {failed.id} lhs={_fmt(failed.lhs)} > 1"
             success = f"all {len(probes)} epsilon probes pass"
         counts["COUNTEREXAMPLE" if failure else "CONSISTENT"] += 1
         print(f"f[{k}]: COUNTEREXAMPLE {failure}" if failure else f"f[{k}]: CONSISTENT ({success})")
@@ -456,16 +452,10 @@ def _cmd_verify(theorem: str, opts) -> int:
 
 
 def sample_boundary_curves(img: ImageCoefficients, radii, theta_count: int):
-    """Image of each circle |z| = r under the mapping, sampled at theta_count angles."""
-    radii = [float(r) for r in radii]
-    if not radii:
-        raise DomainError("radii must be non-empty")
-    if not all(0 < r < 1 for r in radii):
-        raise DomainError(f"every radius must lie in (0, 1), got {radii}")
+    """Image of each circle |z| = r under the mapping at theta_count angles, in increasing r."""
     if theta_count < 64:
         raise DomainError(f"theta_count must be >= 64, got {theta_count}")
-    thetas = 2 * np.pi * np.arange(theta_count) / theta_count
-    h, s = eval_parts(img, np.array(radii)[:, None] * np.exp(1j * thetas))
+    h, s = eval_parts(img, SampleGrid(radii, theta_count).points()[1])
     return list(h + np.conj(s))
 
 
@@ -503,12 +493,10 @@ def curves_to_svg(curves, width: int, height: int) -> str:
 
 def _cmd_render(opts) -> int:
     """boundary curves to SVG"""
-    radii = parse_float_list(opts["radii"])
-    theta_count = _parse_int(opts["theta-count"], "theta-count")
+    radii, theta_count = _circle_grid(opts)
     width = _parse_int(opts["width"], "width")
     height = _parse_int(opts["height"], "height")
-    rng = np.random.default_rng(_parse_int(opts["seed"], "seed"))
-    [f] = _mapping_sources(opts, rng)
+    [f] = _mapping_sources(opts)
     if opts["f"] == "random":
         scale = 0.45 / max(np.abs(f.a).sum() + np.abs(f.b).sum(), 1.0)  # keep it univalent-ish
         f = CoefficientSeq(f.a * scale, f.b * scale)

@@ -22,7 +22,6 @@ criterion for the matching coefficient class.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,11 +108,15 @@ def lemma2_sum(a_abs, b_abs, order: float) -> CriterionReport:
     return _lemma_sum("L2", a_abs, b_abs, order, 1)
 
 
+def _starlike_range_lhs(t_abs):
+    """sum_{n>=2} n |t_n| along the last axis: one value per row of t_abs."""
+    return np.sum(np.arange(2, 2 + t_abs.shape[-1]) * t_abs, axis=-1)
+
+
 def lemma5_sum(t_abs) -> CriterionReport:
     """sum_{n>=2} n |t_n|  vs  1 (starlike range of z + sum t_n z^n)."""
     t_abs = np.atleast_1d(np.asarray(t_abs, dtype=float))
-    n_t = np.arange(2, 2 + t_abs.size)
-    return _report("L5", np.sum(n_t * t_abs), 1.0, FORM_EXACT)
+    return _report("L5", _starlike_range_lhs(t_abs), 1.0, FORM_EXACT)
 
 
 def lemma6_membership(a_abs, b_abs, order: float, klass: str) -> CriterionReport:
@@ -136,7 +139,7 @@ def class_bound_coeffs(klass: str, b1: float = 0.0, n_max: int = 50):
     if n_max < 2 or int(n_max) != n_max:
         raise DomainError(f"n_max must be an integer >= 2, got {n_max}")
     b1 = abs(b1)
-    if b1 >= 1:
+    if not b1 < 1:
         raise DomainError(f"|b1| must be < 1, got {b1}")
     n_a = np.arange(2, n_max + 1, dtype=float)
     n_b = np.arange(1, n_max + 1, dtype=float)
@@ -200,7 +203,6 @@ def _formulas(tid, d1, d2, s, a, b):
             2 * wppp1 + 9 * wpp1 + 6 * (wp1 - 1) + b * cross1 + 2 * wppp2 + 3 * wpp2 + b * full2
         ) / (6 * (1 - b))
         return stated, 6 * (1 - b), derived, 1.0
-    raise DomainError(f"unknown theorem id {tid!r}")
 
 
 def stated_hypothesis(
@@ -216,7 +218,7 @@ def stated_hypothesis(
     order = _check_order(order)
     b = abs(b1)
     route = THEOREMS[theorem_id]
-    if route.uses_b1 and b >= 1:
+    if route.uses_b1 and not b < 1:
         raise DomainError(f"|B_1| must be < 1 for {theorem_id}, got {b}")
     p1, p2 = spec.p1, spec.p2
     tid = theorem_id
@@ -257,22 +259,19 @@ def close_to_convex_probe(img: ImageCoefficients, b1=None, epsilons=None):
     if b1 is None:
         b1 = img.g[1] if img.g.size > 1 else 0j
     b1 = complex(b1)
-    if abs(b1) >= 1:
+    if not abs(b1) < 1:
         raise DomainError(f"|b1| must be < 1, got {abs(b1)}")
     if epsilons is None:
         epsilons = default_epsilons()
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=complex))
+    if not np.all(np.abs(np.abs(epsilons) - 1) <= 1e-12):
+        raise DomainError(f"every |epsilon| must equal 1, got moduli {np.abs(epsilons)}")
     size = max(img.h.size, img.g.size)
     h = np.zeros(size, dtype=complex)
     h[: img.h.size] = img.h
     g = np.zeros(size, dtype=complex)
     g[: img.g.size] = img.g
-    reports = []
-    for k, eps in enumerate(epsilons):
-        if abs(abs(eps) - 1) > 1e-12:
-            raise DomainError(f"|epsilon| must equal 1, got {eps}")
-        denom = 1 + eps * b1
-        assert abs(denom) >= 1e-12  # impossible while |b1| < 1
-        t_abs = np.abs((h[2:] + eps * g[2:]) / denom)
-        reports.append(dataclasses.replace(lemma5_sum(t_abs), id=f"L5[eps{k}]"))
-    return reports
+    # Row k holds |t_n| for epsilons[k]; |1 + eps*b1| >= 1 - |b1| > 0.
+    eps = epsilons[:, None]
+    t_abs = np.abs((h[2:] + eps * g[2:]) / (1 + eps * b1))
+    return [_report(f"L5[eps{k}]", v, 1.0, FORM_EXACT) for k, v in enumerate(_starlike_range_lhs(t_abs))]

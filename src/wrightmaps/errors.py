@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A series failed to meet its tail tolerance within the term budget."""
+    """A series failed to meet its tail tolerance within the term budget, or overflowed."""
 
 
 class SingularPointError(ArithmeticError):

@@ -40,14 +40,17 @@ class SampleGrid:
 
     def __post_init__(self):
         radii = tuple(sorted(float(r) for r in self.radii))
-        if not radii:
-            raise DomainError("radii must be non-empty")
-        if not all(0 < r < 1 for r in radii):
-            raise DomainError(f"every radius must lie in (0, 1), got {radii}")
+        if not radii or not all(0 < r < 1 for r in radii):
+            raise DomainError(f"need one or more radii, each in (0, 1), got {radii}")
         object.__setattr__(self, "radii", radii)
         if self.theta_count < 8 or int(self.theta_count) != self.theta_count:
             raise DomainError(f"theta_count must be an integer >= 8, got {self.theta_count}")
         object.__setattr__(self, "theta_count", int(self.theta_count))
+
+    def points(self):
+        """(thetas, z): the angles, and the points r e^{i theta} with one row per radius."""
+        thetas = 2 * np.pi * np.arange(self.theta_count) / self.theta_count
+        return thetas, np.array(self.radii)[:, None] * np.exp(1j * thetas)
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,7 @@ def sweep(img: ImageCoefficients, grid: SampleGrid, quantity: str, threshold: fl
     radius-major, then by angle.
     """
     threshold = float(threshold)
-    thetas = 2 * np.pi * np.arange(grid.theta_count) / grid.theta_count
-    z = np.array(grid.radii)[:, None] * np.exp(1j * thetas)
+    thetas, z = grid.points()
     vals, singular = _quantity_values(img, z, quantity)
     finite = np.isfinite(vals)
     vals = np.where(singular | ~finite, -np.inf, vals)

@@ -17,6 +17,7 @@ difference of log-gamma values so that no intermediate overflows.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -76,8 +77,8 @@ class SeriesControl:
         if int(self.max_terms) != self.max_terms or self.max_terms < 2:
             raise DomainError(f"max_terms must be an integer >= 2, got {self.max_terms}")
         object.__setattr__(self, "max_terms", int(self.max_terms))
-        if not (self.tail_tol > 0):
-            raise DomainError(f"tail_tol must be > 0, got {self.tail_tol}")
+        if not 0 < self.tail_tol < math.inf:
+            raise DomainError(f"tail_tol must be finite and > 0, got {self.tail_tol}")
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -105,7 +106,7 @@ def _terms(p: WrightParams, r: float, normalized=True, weight=0, ctrl=DEFAULT_CO
     after the first t_k whose weighted size (k+1)^weight * t_k is at most half
     the previous one and at most tail_tol / _TAIL_SAFETY, which bounds the
     weighted tail of the sum below tail_tol; ConvergenceError if that takes more
-    than ctrl.max_terms terms.  Requires r > 0.
+    than ctrl.max_terms terms or a term overflows.  Requires r > 0.
     """
     log, gamma, lgamma, exp = math.log, math.gamma, math.lgamma, math.exp
     alpha, beta, gam, delta = p.alpha, p.beta, p.gamma, p.delta
@@ -114,19 +115,22 @@ def _terms(p: WrightParams, r: float, normalized=True, weight=0, ctrl=DEFAULT_CO
     shift, power = 0.0, int(normalized)
     tol = ctrl.tail_tol
     prev = math.nan  # no ratio exists before the second term, and nan compares false
-    for k in range(ctrl.max_terms):
-        a = alpha + k * beta
-        g = gam + k * delta
-        la = log(gamma(a)) if lo < a < hi else lgamma(a)
-        lg = log(gamma(g)) if lo < g < hi else lgamma(g)
-        if normalized and not k:
-            shift = la + lg  # log(Gamma(alpha) Gamma(gamma))
-        t = exp(shift + (k + power) * log_r - la - lg)
-        yield t
-        weighted = (k + 1) ** weight * t
-        if weighted <= 0.5 * prev and _TAIL_SAFETY * weighted <= tol:
-            return
-        prev = weighted
+    try:  # outside the loop: entering it costs nothing per term
+        for k in range(ctrl.max_terms):
+            a = alpha + k * beta
+            g = gam + k * delta
+            la = log(gamma(a)) if lo < a < hi else lgamma(a)
+            lg = log(gamma(g)) if lo < g < hi else lgamma(g)
+            if normalized and not k:
+                shift = la + lg  # log(Gamma(alpha) Gamma(gamma))
+            t = exp(shift + (k + power) * log_r - la - lg)
+            yield t
+            weighted = (k + 1) ** weight * t
+            if weighted <= 0.5 * prev and _TAIL_SAFETY * weighted <= tol:
+                return
+            prev = weighted
+    except OverflowError:
+        raise ConvergenceError(f"float overflow while summing the series for {p}, r={r}") from None
     raise ConvergenceError(f"series tail not below {tol} within {ctrl.max_terms} terms for {p}, r={r}")
 
 
@@ -154,6 +158,8 @@ def norm_coeff(p: WrightParams, n: int) -> float:
 def _phase_sum(p: WrightParams, z, normalized: bool, ctrl: SeriesControl) -> complex:
     """The kernel's terms at r = |z|, each times its power of z/|z|."""
     z = complex(z)
+    if not abs(z.real) + abs(z.imag) < math.inf:  # this bounds |z|, so abs(z) cannot overflow
+        raise DomainError(f"z must be finite, with |re| + |im| in the float range, got {z}")
     if z == 0:
         return 0j if normalized else complex(next(_terms(p, 1.0, normalized=False)))
     phase = z / abs(z)
@@ -162,6 +168,8 @@ def _phase_sum(p: WrightParams, z, normalized: bool, ctrl: SeriesControl) -> com
     for t in _terms(p, abs(z), normalized=normalized, ctrl=ctrl):
         total += t * term_phase
         term_phase *= phase
+    if not cmath.isfinite(total):
+        raise ConvergenceError(f"series sum overflows the float range for {p}, z={z}")
     return total
 
 
@@ -188,4 +196,6 @@ def derivs_at_one(p: WrightParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> Der
         wp1 += n * c
         wpp1 += n * (n - 1) * c
         wppp1 += n * (n - 1) * (n - 2) * c
+    if not w1 + wp1 + wpp1 + wppp1 < math.inf:  # one test for all four positive sums
+        raise ConvergenceError(f"derivative sums overflow the float range for {p}")
     return DerivativeValues(w1, wp1, wpp1, wppp1)

@@ -340,3 +340,64 @@ def test_scan_rejects_non_finite_and_oversized_grids(tmp_path):
         out = run_cli_bounded(*argv)
         assert out.returncode == 2, (axes, out.stderr[-300:])
         assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "T5.1", "--p1", "2,1,2,1", "--b1", "nan"],
+        ["check", "T3.1", "--p1", "2,1,2,1", "--ctrl-tol", "inf"],
+        ["check", "T3.1", "--p1", "2,1,2,1", "--sigma", "1e400,0"],  # overflows to inf
+        ["eval", "--p", "1,1,1,1", "--z=nan,0"],
+        ["scan", "T5.1", "--axis", "sigma=0:0.1:0.1", "--fix", "b1=nan"],
+    ],
+)
+def test_cli_numbers_must_be_finite(argv, tmp_path):
+    out_csv = tmp_path / "x.csv"
+    out = run_cli_bounded(*argv, *(["--out", str(out_csv)] if argv[0] == "scan" else []))
+    assert out.returncode == 2, out.stdout + out.stderr[-300:]
+    assert "finite" in out.stderr and "Traceback" not in out.stderr
+    assert not out_csv.exists()
+
+
+def test_sizes_bounded_where_they_enter(tmp_path):
+    far = tmp_path / "far.csv"
+    far.write_text("part,n,re,im\na,1000000000,0.1,0\n", encoding="utf-8")
+    out_svg = str(tmp_path / "x.svg")
+    verify = ["verify", "T3.1", "--p1", "2,1,2,1"]
+    for argv in (
+        [*verify, "--f", f"file:{far}"],  # a dense array up to n would take 14.9 GiB
+        [*verify, "--nmax", "1000000000"],
+        # 68 epsilons x 10^6 coefficients would be 1 GiB per complex array.
+        ["verify", "T5.3", "--p1", "1,3,1,3", "--f", "classbound:KH0", "--nmax", "1000000"],
+        [*verify, "--theta-count", "1000000000"],
+        ["render", "--theta-count", "1000000000", "--out", out_svg],
+        [*verify, "--seed", "-1"],
+        ["render", "--seed", "-1", "--out", out_svg],
+    ):
+        out = run_cli_bounded(*argv)
+        assert out.returncode == 2, (argv, out.stderr[-300:])
+        assert "Traceback" not in out.stderr
+    # Mappings are made one at a time, so the first one meets the failing series
+    # before the other 2,999,999 exist.
+    out = run_cli_bounded(*verify, "--count", "3000000", "--ctrl-max-terms", "2")
+    assert out.returncode == 3, out.stderr[-300:]
+    assert "Traceback" not in out.stderr
+
+
+def test_kernel_overflow_exits_3():
+    for argv in (
+        ["eval", "--p", "1,0.5,1,0.5", "--z=600,0"],
+        ["eval", "--p", "1,1,1,1", "--z=1e300,0"],
+        ["derivs", "--p", "1e-308,1,1,1"],
+    ):
+        out = run_cli(*argv)
+        assert out.returncode == 3, (argv, out.stderr[-300:])
+        assert "overflow" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_render_draws_radii_in_increasing_order(tmp_path):
+    given, sorted_ = tmp_path / "given.svg", tmp_path / "sorted.svg"
+    assert run_cli("render", "--radii", "0.9,0.5", "--out", str(given)).returncode == 0
+    assert run_cli("render", "--radii", "0.5,0.9", "--out", str(sorted_)).returncode == 0
+    assert given.read_bytes() == sorted_.read_bytes()

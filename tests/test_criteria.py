@@ -11,6 +11,7 @@ from wrightmaps import (
     FORM_EXACT,
     FORM_STATED,
     ImageCoefficients,
+    SeriesControl,
     THEOREM_IDS,
     WrightParams,
     class_bound_coeffs,
@@ -22,7 +23,10 @@ from wrightmaps import (
     lemma2_sum,
     lemma5_sum,
     lemma6_membership,
+    normalized_eval,
+    random_coefficients,
     stated_hypothesis,
+    wright_eval,
 )
 
 P1111 = WrightParams(1, 1, 1, 1)
@@ -221,3 +225,61 @@ def test_close_to_convex_probe_denominator_and_validation():
         close_to_convex_probe(img, b1=1.0)
     with pytest.raises(DomainError):
         close_to_convex_probe(img, epsilons=[0.5])
+
+
+def per_epsilon_probe(img, epsilons):
+    """Reference for close_to_convex_probe: one lemma5_sum per epsilon."""
+    b1 = img.g[1] if img.g.size > 1 else 0j
+    size = max(img.h.size, img.g.size)
+    h = np.zeros(size, dtype=complex)
+    h[: img.h.size] = img.h
+    g = np.zeros(size, dtype=complex)
+    g[: img.g.size] = img.g
+    return [lemma5_sum(np.abs((h[2:] + eps * g[2:]) / (1 + eps * b1))) for eps in epsilons]
+
+
+def test_close_to_convex_probe_matches_per_epsilon_loop():
+    eps = default_epsilons()
+    rng = np.random.default_rng(3)
+    real_images, complex_images = [], []
+    for klass in ("KH0", "CH0_family", "CH"):
+        for n_max in (2, 7, 30):
+            for sigma in (0.0, 0.3, 0.9):
+                f = CoefficientSeq(*class_bound_coeffs(klass, 0.4, n_max))
+                real_images.append(convolve(f, spec_of(WrightParams(1, 3, 1, 3), sigma=sigma)))
+    for k in range(150):
+        f = random_coefficients(rng, 2 + k % 40)
+        sigma = 0.95 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        p1, p2 = WrightParams(*rng.uniform(0.5, 3, 4)), WrightParams(*rng.uniform(0.5, 3, 4))
+        complex_images.append(convolve(f, ConvolutionSpec(p1, p2, sigma)))
+    for images, rel in ((real_images, 0.0), (complex_images, 1e-15)):
+        for img in images:
+            got, ref = close_to_convex_probe(img), per_epsilon_probe(img, eps)
+            assert [r.id for r in got] == [f"L5[eps{k}]" for k in range(eps.size)]
+            assert [r.satisfied for r in got] == [r.satisfied for r in ref]
+            for r, q in zip(got, ref):
+                assert abs(r.lhs - q.lhs) <= rel * q.lhs
+                assert (r.rhs, r.form) == (q.rhs, q.form)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: stated_hypothesis("T5.1", spec_of(P2121), 0.0, NAN),
+        lambda: stated_hypothesis("T5.4", spec_of(P2121), 0.0, NAN),
+        lambda: class_bound_coeffs("CH", NAN),
+        lambda: SeriesControl(2000, INF),
+        lambda: wright_eval(P1111, complex(NAN, 0)),
+        lambda: wright_eval(P1111, complex(0, INF)),
+        lambda: normalized_eval(P1111, complex(INF, NAN)),
+        lambda: normalized_eval(P1111, complex(1e308, 1e308)),  # |re| + |im| beyond the float range
+        lambda: close_to_convex_probe(ImageCoefficients([0.1], [0.2]), b1=NAN),
+        lambda: close_to_convex_probe(ImageCoefficients([0.1], [0.2]), epsilons=[1, NAN]),
+    ],
+)
+def test_library_rejects_non_finite_inputs(call):
+    with pytest.raises(DomainError):
+        call()

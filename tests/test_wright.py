@@ -199,6 +199,23 @@ def test_nonconvergence_error():
         derivs_at_one(P1111, tiny)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: wright_eval(WrightParams(1, 0.5, 1, 0.5), 600),  # a term passes the float range
+        lambda: wright_eval(P1111, 1e300),
+        lambda: normalized_eval(P1111, -1e300j),
+        lambda: wright_eval(WrightParams(1, 1e307, 1, 1), 0.5),  # log Gamma overflows
+        lambda: derivs_at_one(WrightParams(1e-320, 1, 1, 1)),  # Gamma(alpha) ~ 1e320
+        lambda: derivs_at_one(WrightParams(1e-308, 1, 1, 1)),  # terms fit, their sums do not
+        lambda: normalized_eval(WrightParams(1e-308, 1, 1, 1), 1.1),
+    ],
+)
+def test_overflow_raises_convergence_error(call):
+    with pytest.raises(ConvergenceError, match="overflow"):
+        call()
+
+
 def test_deterministic():
     p = WrightParams(1.3, 0.7, 2.2, 1.9)
     assert wright_eval(p, 0.4 + 0.9j) == wright_eval(p, 0.4 + 0.9j)
