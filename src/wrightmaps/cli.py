@@ -29,7 +29,6 @@ from .mappings import (
     ConvolutionSpec,
     ImageCoefficients,
     convolve,
-    eval_parts,
     random_coefficients,
 )
 from .oracle import SampleGrid, sweep
@@ -455,8 +454,7 @@ def sample_boundary_curves(img: ImageCoefficients, radii, theta_count: int):
     """Image of each circle |z| = r under the mapping at theta_count angles, in increasing r."""
     if theta_count < 64:
         raise DomainError(f"theta_count must be >= 64, got {theta_count}")
-    h, s = eval_parts(img, SampleGrid(radii, theta_count).points()[1])
-    return list(h + np.conj(s))
+    return list(SampleGrid(radii, theta_count).circle_values(img.h, img.g))
 
 
 def curves_to_svg(curves, width: int, height: int) -> str:

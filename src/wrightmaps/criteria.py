@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .mappings import ConvolutionSpec, ImageCoefficients
 from .wright import DEFAULT_CONTROL, SeriesControl, WrightParams, derivs_at_one
 
@@ -136,8 +136,7 @@ def class_bound_coeffs(klass: str, b1: float = 0.0, n_max: int = 50):
     klass 'CH0_family': (2n+1)(n+1)/6      and (2n-1)(n-1)/6
     klass 'CH':         the CH0_family pair cross-mixed with weight |b1|
     """
-    if n_max < 2 or int(n_max) != n_max:
-        raise DomainError(f"n_max must be an integer >= 2, got {n_max}")
+    n_max = check_integer(n_max, 2, "n_max")
     b1 = abs(b1)
     if not b1 < 1:
         raise DomainError(f"|b1| must be < 1, got {b1}")

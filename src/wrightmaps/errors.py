@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer-argument check."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -11,3 +13,10 @@ class ConvergenceError(RuntimeError):
 
 class SingularPointError(ArithmeticError):
     """A pointwise quantity is undefined because its denominator vanishes."""
+
+
+def check_integer(value, minimum: int, name: str) -> int:
+    """`value` as an int if it is a finite integer >= minimum; DomainError otherwise."""
+    if not (value >= minimum and value < math.inf and int(value) == value):
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(value)

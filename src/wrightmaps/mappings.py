@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError
 from .wright import WrightParams, norm_coeffs
@@ -106,22 +105,31 @@ def convolve(f: CoefficientSeq, spec: ConvolutionSpec) -> ImageCoefficients:
     return ImageCoefficients(ha, gb)
 
 
-def eval_parts(img: ImageCoefficients, z, order: int = 0):
-    """(H^(order)(z), S^(order)(z)) with S = sigma*G, by Horner's rule at a point or array z."""
-    return tuple(npoly.polyval(z, npoly.polyder(c, order)) for c in (img.h, img.g))
+def derivative(c, order: int = 1):
+    """Power-indexed coefficients of the order-th derivative of sum_k c_k z^k."""
+    for _ in range(order):
+        c = c[1:] * np.arange(1, c.size)
+    return c
+
+
+def power_sum(c, z) -> complex:
+    """sum_k c_k z^k at the point z, by Horner's rule."""
+    return complex(np.polyval(c[::-1], z))
+
+
+def harmonic_sum(a, b, z) -> complex:
+    """sum_k a_k z^k + conj(sum_k b_k z^k) at the point z."""
+    return power_sum(a, z) + power_sum(b, z).conjugate()
 
 
 def eval_map(img: ImageCoefficients, pt: EvalPoint) -> complex:
     """Value H(z) + conj(sigma*G(z)) at z = r*e^{i*theta}."""
-    h, s = eval_parts(img, pt.z)
-    return complex(h + np.conj(s))
+    return harmonic_sum(img.h, img.g, pt.z)
 
 
 def eval_derivs(img: ImageCoefficients, pt: EvalPoint):
     """(H'(z), H''(z), (sigma G)'(z), (sigma G)''(z)) by term-wise differentiation."""
-    hp, gp = eval_parts(img, pt.z, 1)
-    hpp, gpp = eval_parts(img, pt.z, 2)
-    return complex(hp), complex(hpp), complex(gp), complex(gpp)
+    return tuple(power_sum(derivative(c, order), pt.z) for c in (img.h, img.g) for order in (1, 2))
 
 
 def random_coefficients(rng: np.random.Generator, n_max: int = 50) -> CoefficientSeq:

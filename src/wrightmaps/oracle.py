@@ -1,14 +1,16 @@
 """Polar-grid geometric verification, independent of the coefficient criteria.
 
-Three pointwise quantities are sampled on circles |z| = r < 1:
+Three pointwise quantities are sampled on circles |z| = r < 1, each formed
+from sums sum a_k z^k + conj(sum b_k z^k) of weighted coefficients of
+H and S = sigma*G:
 
-* ``dtheta_arg_f``       - d/dtheta arg f(r e^{i theta}), assembled as
-  Re[(z H'(z) - conj(z S'(z))) / f(z)] with S = sigma*G; starlikeness of
+* ``dtheta_arg_f``       - d/dtheta arg f(r e^{i theta}),
+  Re[(z H' - conj(z S')) / f] with z H' = sum k h_k z^k; starlikeness of
   order alpha means this stays above alpha.
-* ``dtheta_arg_ftheta``  - d/dtheta arg of the tangent f_theta, assembled as
-  Im(f_thth / f_th) with f_th = i(z H' - conj(z S')) and
-  f_thth = -(z H' + z^2 H'' + conj(z S' + z^2 S'')); convexity of order alpha
-  means this stays above alpha.
+* ``dtheta_arg_ftheta``  - d/dtheta arg of the tangent f_theta = i(z H' - conj(z S')),
+  Re[(z H' + z^2 H'' + conj(z S' + z^2 S'')) / (z H' - conj(z S'))] with
+  z H' + z^2 H'' = sum k^2 h_k z^k; convexity of order alpha means this stays
+  above alpha.
 * ``jacobian_margin``    - |H'(z)| - |S'(z)|; positive means sense-preserving.
 
 Sampling probes the defining inequalities directly, so it can only ever
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SingularPointError
-from .mappings import EvalPoint, ImageCoefficients, eval_parts
+from .errors import DomainError, SingularPointError, check_integer
+from .mappings import EvalPoint, ImageCoefficients, derivative, harmonic_sum
 
 QUANTITIES = ("dtheta_arg_f", "dtheta_arg_ftheta", "jacobian_margin")
 
@@ -43,14 +45,29 @@ class SampleGrid:
         if not radii or not all(0 < r < 1 for r in radii):
             raise DomainError(f"need one or more radii, each in (0, 1), got {radii}")
         object.__setattr__(self, "radii", radii)
-        if self.theta_count < 8 or int(self.theta_count) != self.theta_count:
-            raise DomainError(f"theta_count must be an integer >= 8, got {self.theta_count}")
-        object.__setattr__(self, "theta_count", int(self.theta_count))
+        object.__setattr__(self, "theta_count", check_integer(self.theta_count, 8, "theta_count"))
 
-    def points(self):
-        """(thetas, z): the angles, and the points r e^{i theta} with one row per radius."""
-        thetas = 2 * np.pi * np.arange(self.theta_count) / self.theta_count
-        return thetas, np.array(self.radii)[:, None] * np.exp(1j * thetas)
+    def thetas(self):
+        """The angles theta_j = 2 pi j / theta_count."""
+        return 2 * np.pi * np.arange(self.theta_count) / self.theta_count
+
+    def circle_values(self, a, b):
+        """sum_k a_k z^k + conj(sum_k b_k z^k) at z = r e^{i theta_j}, one row per radius.
+
+        On equally spaced angles this is an inverse DFT: a_k r^k enters bin
+        k mod theta_count and conj(b_k) r^k bin -k mod theta_count (so a series
+        longer than theta_count folds onto the bins), and one inverse FFT over
+        the angle axis evaluates every radius.  The rounding error is of order
+        u log(theta_count) sum_k (|a_k| + |b_k|) r^k, with u the unit roundoff.
+        """
+        n, r = self.theta_count, np.array(self.radii)[:, None]
+        size = n * max(1, -(-max(len(a), len(b)) // n))  # a multiple of n that holds both
+        k = np.arange(max(len(a), len(b)))
+        spectrum = np.zeros((r.size, size), dtype=complex)
+        spectrum[:, : len(a)] = a * r ** k[: len(a)]
+        spectrum[:, -k[: len(b)] % size] += np.conj(b) * r ** k[: len(b)]
+        folded = spectrum.reshape(r.size, -1, n).sum(axis=1)
+        return np.fft.ifft(folded, axis=1, norm="forward", out=folded)
 
 
 @dataclass(frozen=True)
@@ -84,29 +101,28 @@ def _ratio(num, den):
     return num / np.where(singular, 1.0, den), singular
 
 
-def _quantity_values(img: ImageCoefficients, z, quantity):
-    """Vectorized evaluation; returns (values, singular_mask)."""
-    hp, sp = eval_parts(img, z, 1)
+def _quantity_values(img: ImageCoefficients, quantity, values):
+    """(quantity, singular_mask) from values(a, b) = sum a_k z^k + conj(sum b_k z^k) at the sample points."""
+    h, g = img.h, img.g
+    kh, kg = np.arange(h.size) * h, np.arange(g.size) * g  # z H', z S'
     if quantity == "jacobian_margin":
-        return np.abs(hp) - np.abs(sp), np.zeros(np.shape(z), dtype=bool)
+        margin = np.abs(values(derivative(h), ())) - np.abs(values(derivative(g), ()))
+        return margin, np.zeros(np.shape(margin), dtype=bool)
     if quantity == "dtheta_arg_f":
-        h, s = eval_parts(img, z)
-        ratio, singular = _ratio(z * hp - np.conj(z * sp), h + np.conj(s))
+        ratio, singular = _ratio(values(kh, -kg), values(h, g))
         return np.real(ratio), singular
     if quantity == "dtheta_arg_ftheta":
-        hpp, spp = eval_parts(img, z, 2)
-        f_th = 1j * (z * hp - np.conj(z * sp))
-        f_thth = -(z * hp + z * z * hpp + np.conj(z * sp + z * z * spp))
-        ratio, singular = _ratio(f_thth, f_th)
-        return np.imag(ratio), singular
+        k2h, k2g = np.arange(h.size) * kh, np.arange(g.size) * kg  # z H' + z^2 H'', z S' + z^2 S''
+        ratio, singular = _ratio(values(k2h, k2g), values(kh, -kg))
+        return np.real(ratio), singular
     raise DomainError(f"unknown quantity {quantity!r}; known: {', '.join(QUANTITIES)}")
 
 
 def _scalar(img, pt, quantity):
-    vals, singular = _quantity_values(img, np.array([pt.z]), quantity)
-    if singular[0]:
+    value, singular = _quantity_values(img, quantity, lambda a, b: harmonic_sum(a, b, pt.z))
+    if singular:
         raise SingularPointError(f"{quantity} undefined at r={pt.r}, theta={pt.theta}")
-    return float(vals[0])
+    return float(value)
 
 
 def dtheta_arg_f(img: ImageCoefficients, pt: EvalPoint) -> float:
@@ -134,8 +150,8 @@ def sweep(img: ImageCoefficients, grid: SampleGrid, quantity: str, threshold: fl
     radius-major, then by angle.
     """
     threshold = float(threshold)
-    thetas, z = grid.points()
-    vals, singular = _quantity_values(img, z, quantity)
+    thetas = grid.thetas()
+    vals, singular = _quantity_values(img, quantity, grid.circle_values)
     finite = np.isfinite(vals)
     vals = np.where(singular | ~finite, -np.inf, vals)
     violations = [

@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_integer
 
 # Geometric tail-safety factor: summation stops only once consecutive term
 # magnitudes have ratio <= 1/2, so the remaining tail is at most one current
@@ -74,9 +74,7 @@ class SeriesControl:
     tail_tol: float = 1e-14
 
     def __post_init__(self):
-        if int(self.max_terms) != self.max_terms or self.max_terms < 2:
-            raise DomainError(f"max_terms must be an integer >= 2, got {self.max_terms}")
-        object.__setattr__(self, "max_terms", int(self.max_terms))
+        object.__setattr__(self, "max_terms", check_integer(self.max_terms, 2, "max_terms"))
         if not 0 < self.tail_tol < math.inf:
             raise DomainError(f"tail_tol must be finite and > 0, got {self.tail_tol}")
 
@@ -150,9 +148,7 @@ def norm_coeff(p: WrightParams, n: int) -> float:
 
     Computed as exp of a log-gamma difference; always > 0, and c_1 == 1.
     """
-    if n < 1 or int(n) != n:
-        raise DomainError(f"coefficient index must be an integer >= 1, got {n}")
-    return norm_coeffs(p, int(n))[-1]
+    return norm_coeffs(p, check_integer(n, 1, "coefficient index"))[-1]
 
 
 def _phase_sum(p: WrightParams, z, normalized: bool, ctrl: SeriesControl) -> complex:

@@ -385,6 +385,15 @@ def test_sizes_bounded_where_they_enter(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_verify_large_nmax_is_fast():
+    # 100,000 coefficients per part: the oracle must cost a few transforms of
+    # them, not a pass over every coefficient at each of the 3 x 4096 points.
+    verify = ["verify", "T3.1", "--p1", "2,1,2,1", "--f", "random", "--count", "1"]
+    out = run_cli_bounded(*verify, "--nmax", "100000", seconds=3)
+    assert out.returncode == 0, out.stderr[-300:]
+    assert "CONSISTENT" in out.stdout
+
+
 def test_kernel_overflow_exits_3():
     for argv in (
         ["eval", "--p", "1,0.5,1,0.5", "--z=600,0"],

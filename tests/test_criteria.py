@@ -11,6 +11,7 @@ from wrightmaps import (
     FORM_EXACT,
     FORM_STATED,
     ImageCoefficients,
+    SampleGrid,
     SeriesControl,
     THEOREM_IDS,
     WrightParams,
@@ -23,6 +24,7 @@ from wrightmaps import (
     lemma2_sum,
     lemma5_sum,
     lemma6_membership,
+    norm_coeff,
     normalized_eval,
     random_coefficients,
     stated_hypothesis,
@@ -278,6 +280,15 @@ NAN, INF = float("nan"), float("inf")
         lambda: normalized_eval(P1111, complex(1e308, 1e308)),  # |re| + |im| beyond the float range
         lambda: close_to_convex_probe(ImageCoefficients([0.1], [0.2]), b1=NAN),
         lambda: close_to_convex_probe(ImageCoefficients([0.1], [0.2]), epsilons=[1, NAN]),
+        # Integer arguments: a bare int() of nan or inf raises ValueError or OverflowError.
+        lambda: SampleGrid((0.5,), NAN),
+        lambda: SampleGrid((0.5,), INF),
+        lambda: SeriesControl(NAN),
+        lambda: SeriesControl(INF),
+        lambda: norm_coeff(P2121, NAN),
+        lambda: norm_coeff(P2121, INF),
+        lambda: class_bound_coeffs("KH0", 0, NAN),
+        lambda: class_bound_coeffs("KH0", 0, INF),
     ],
 )
 def test_library_rejects_non_finite_inputs(call):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import wrightmaps
 from wrightmaps import (
     DomainError,
     EvalPoint,
@@ -174,3 +175,88 @@ def test_sweep_records_non_finite_values():
         assert rep.min_value == -math.inf
         assert {v.kind for v in rep.violations} <= {"nonfinite", "singular"}
         assert any(v.kind == "nonfinite" for v in rep.violations)
+
+
+
+def direct_sum(c, z):
+    """sum_k c_k z^k by explicit powers: the reference for the FFT circle evaluation."""
+    return (z[..., None] ** np.arange(len(c))) @ c
+
+
+def weighted_size(img, r, power):
+    """sum_k k^power (|h_k| + |g_k|) r^k: the scale of the rounding error of a circle sum."""
+    return sum(direct_sum(np.arange(c.size) ** power * np.abs(c), r) for c in (img.h, img.g))
+
+
+def reference_quantity(img, z, quantity):
+    """(value, rounding scale) of an oracle quantity from direct sums of H, S and derivatives."""
+    r = np.abs(z)
+    k_h, k_g = np.arange(img.h.size), np.arange(img.g.size)
+    h, s = direct_sum(img.h, z), direct_sum(img.g, z)
+    zhp, zsp = direct_sum(k_h * img.h, z), direct_sum(k_g * img.g, z)  # z H', z S'
+    z2hpp, z2spp = direct_sum(k_h * (k_h - 1) * img.h, z), direct_sum(k_g * (k_g - 1) * img.g, z)
+    if quantity == "jacobian_margin":
+        return np.abs(zhp / z) - np.abs(zsp / z), weighted_size(img, r, 1) / r
+    if quantity == "dtheta_arg_f":
+        den = h + np.conj(s)
+        value = np.real((zhp - np.conj(zsp)) / den)
+        return value, (weighted_size(img, r, 1) + np.abs(value) * weighted_size(img, r, 0)) / np.abs(den)
+    f_th = 1j * (zhp - np.conj(zsp))
+    f_thth = -(zhp + z2hpp + np.conj(zsp + z2spp))
+    value = np.imag(f_thth / f_th)
+    return value, (weighted_size(img, r, 2) + np.abs(value) * weighted_size(img, r, 1)) / np.abs(f_th)
+
+
+def grid_points(grid):
+    thetas = 2 * np.pi * np.arange(grid.theta_count) / grid.theta_count
+    return np.array(grid.radii)[:, None] * np.exp(1j * thetas)
+
+
+@pytest.mark.parametrize("degree", [40, 64, 200])  # below, at and above theta_count
+def test_circle_values_match_direct_sum(degree):
+    rng = np.random.default_rng(degree)
+    grid = SampleGrid((0.3, 0.9, 0.99), 64)
+    r = np.array(grid.radii)[:, None]
+    z = grid_points(grid)
+    for len_a, len_b in ((degree + 1, degree + 1), (degree + 1, 3), (2, degree + 1), (0, degree + 1)):
+        a = rng.standard_normal(len_a) + 1j * rng.standard_normal(len_a)
+        b = rng.standard_normal(len_b) + 1j * rng.standard_normal(len_b)
+        got = grid.circle_values(a, b)
+        ref = direct_sum(a, z) + np.conj(direct_sum(b, z))
+        size = direct_sum(np.abs(a), r) + direct_sum(np.abs(b), r)
+        assert np.all(np.abs(got - ref) <= 1e-12 * size)
+
+
+@pytest.mark.parametrize("degree", [40, 64, 200])
+def test_sweep_values_match_direct_sums(degree):
+    rng = np.random.default_rng(100 + degree)
+    img = random_safe_image(rng, n=degree - 1)
+    grid = SampleGrid((0.3, 0.9, 0.99), 64)
+    z = grid_points(grid)
+    for quantity in ("dtheta_arg_f", "dtheta_arg_ftheta", "jacobian_margin"):
+        rep = sweep(img, grid, quantity, np.inf)  # every sample is a "violation": a value harvest
+        got = np.array([v.value for v in rep.violations]).reshape(z.shape)
+        ref, scale = reference_quantity(img, z, quantity)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale), quantity
+        # The scalar wrappers share the quantity formula, summed at the one point.
+        value = getattr(wrightmaps, quantity)(img, rep.violations[77].point)
+        assert abs(value - ref.flat[77]) <= 1e-12 * scale.flat[77]
+
+
+def test_sweep_violations_match_direct_sums():
+    # Unit-disk coefficients up to degree 100 on 64 angles: the FFT folds, and
+    # about half of the samples fall below each threshold (the median value).
+    rng = np.random.default_rng(7)
+    img = ImageCoefficients(*(0.3 * np.exp(2j * np.pi * rng.random(size)) for size in (99, 100)))
+    grid = SampleGrid((0.5, 0.9, 0.99), 64)
+    z = grid_points(grid)
+    for quantity in ("dtheta_arg_f", "dtheta_arg_ftheta", "jacobian_margin"):
+        ref, scale = reference_quantity(img, z, quantity)
+        threshold = float(np.median(ref))
+        assert np.all(np.abs(ref - threshold) > 1e-12 * scale)  # no site is a rounding tie
+        rep = sweep(img, grid, quantity, threshold)
+        sites = [(grid.radii[i], 2 * np.pi * j / grid.theta_count) for i, j in np.argwhere(ref < threshold)]
+        assert [(v.point.r, v.point.theta) for v in rep.violations] == sites
+        assert {v.kind for v in rep.violations} == {"value"}
+        i, j = np.unravel_index(np.argmin(ref), ref.shape)
+        assert (rep.argmin.r, rep.argmin.theta) == (grid.radii[i], 2 * np.pi * j / grid.theta_count)
