@@ -21,9 +21,10 @@ from .criteria import (
     THEOREMS,
     class_bound_coeffs,
     close_to_convex_probe,
+    default_epsilons,
     stated_hypothesis,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_integer
 from .mappings import (
     CoefficientSeq,
     ConvolutionSpec,
@@ -156,7 +157,7 @@ def load_config(path: str, allowed) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -234,22 +235,22 @@ def write_coeff_csv(path: str, f: CoefficientSeq) -> None:
 
 
 def read_coeff_csv(path: str) -> CoefficientSeq:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh)) or [None]
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or not CSV
+        raise DomainError(f"cannot parse coefficient file {path}: {exc}") from None
+    if header is None or [s.strip() for s in header] != ["part", "n", "re", "im"]:
+        raise DomainError(f"{path}: expected header 'part,n,re,im'")
     values = {part: {} for part in _FIRST_INDEX}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [s.strip() for s in header] != ["part", "n", "re", "im"]:
-            raise DomainError(f"{path}: expected header 'part,n,re,im'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DomainError(f"{path}: malformed row {row!r}")
-            part, n = row[0].strip(), _parse_int(row[1], "n")
-            val = complex(_parse_float(row[2], "re"), _parse_float(row[3], "im"))
-            if part not in _FIRST_INDEX or not _FIRST_INDEX[part] <= n <= _MAX_POINTS:
-                raise DomainError(f"{path}: bad part/index {part!r}/{n} (n at most {_MAX_POINTS})")
-            values[part][n] = val
+    for row in filter(None, rows):
+        if len(row) != 4:
+            raise DomainError(f"{path}: malformed row {row!r}")
+        part, n = row[0].strip(), _parse_int(row[1], "n")
+        val = complex(_parse_float(row[2], "re"), _parse_float(row[3], "im"))
+        if part not in _FIRST_INDEX or not _FIRST_INDEX[part] <= n <= _MAX_POINTS:
+            raise DomainError(f"{path}: bad part/index {part!r}/{n} (n at most {_MAX_POINTS})")
+        values[part][n] = val
     seqs = {}
     for part, n0 in _FIRST_INDEX.items():
         seqs[part] = np.zeros(max(values[part], default=n0 - 1) - n0 + 1, dtype=complex)
@@ -316,7 +317,7 @@ def _param_setting(text: str, flag: str, form: str):
 
 
 def _parse_axis(text: str):
-    """'name=start:stop:step' -> (name, start, step, count); the values are start + k*step."""
+    """'name=start:stop:step' -> (name, [start + k*step for k = 0, 1, ... up to stop])."""
     name, spec = _param_setting(text, "axis", "name=start:stop:step")
     parts = spec.split(":")
     if len(parts) != 3:
@@ -325,14 +326,14 @@ def _parse_axis(text: str):
     if step <= 0:
         raise DomainError(f"axis step must be > 0, got {step}")
     limit = stop + 1e-12 * max(1.0, abs(step))
-    count = 0
-    while start + count * step <= limit:
-        count += 1
-        if count > _MAX_POINTS:
+    values = []
+    while start + len(values) * step <= limit:
+        values.append(start + len(values) * step)
+        if len(values) > _MAX_POINTS:
             raise DomainError(f"axis {name} has more than {_MAX_POINTS} values")
-    if not count:
+    if not values:
         raise DomainError(f"axis produced no values (start={start}, stop={stop}, step={step})")
-    return name, start, step, count
+    return name, values
 
 
 def _cmd_scan(theorem: str, opts) -> int:
@@ -343,14 +344,13 @@ def _cmd_scan(theorem: str, opts) -> int:
         name, value = _param_setting(text, "fix", "name=value")
         base[name] = _parse_float(value, name)
     axes = [_parse_axis(text) for text in opts["axis"]]
-    points = math.prod(count for *_, count in axes)
+    points = math.prod(len(grid) for _, grid in axes)
     if points > _MAX_POINTS:
         raise DomainError(f"scan grid has {points} points, more than {_MAX_POINTS}")
     ctrl = _ctrl(opts)
-    names = [name for name, *_ in axes]
-    grids = [[start + k * step for k in range(count)] for _, start, step, count in axes]
+    names = [name for name, _ in axes]
     rows = []
-    for combo in itertools.product(*grids):
+    for combo in itertools.product(*(grid for _, grid in axes)):
         values = dict(base)
         values.update(zip(names, combo))
         row = [theorem] + [_csv_num(values[name]) for name in _PARAM_NAMES]
@@ -375,15 +375,11 @@ def _mapping_sources(opts):
     nmax = _parse_int(opts["nmax"], "nmax")
     if nmax > _MAX_POINTS:
         raise DomainError(f"nmax must be <= {_MAX_POINTS}, got {nmax}")
-    seed = _parse_int(opts["seed"], "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    seed = check_integer(_parse_int(opts["seed"], "seed"), 0, "seed")
     if source == "identity":
         return [CoefficientSeq()]
     if source == "random":
-        count = _parse_int(opts.get("count", "1"), "count")
-        if count < 1:
-            raise DomainError(f"count must be >= 1, got {count}")
+        count = check_integer(_parse_int(opts.get("count", "1"), "count"), 1, "count")
         rng = np.random.default_rng(seed)
         return (random_coefficients(rng, nmax) for _ in range(count))
     if source.startswith("classbound:"):
@@ -432,7 +428,7 @@ def _cmd_verify(theorem: str, opts) -> int:
             )
             success = f"min {quantity} = {_fmt(rep.min_value)}"
         else:
-            if 68 * max(img.h.size, img.g.size) > _MAX_POINTS:  # 68 epsilons per coefficient
+            if default_epsilons().size * max(img.h.size, img.g.size) > _MAX_POINTS:
                 raise DomainError(f"the epsilon probe would evaluate more than {_MAX_POINTS} points")
             probes = close_to_convex_probe(img)
             failed = next((p for p in probes if not p.satisfied), None)
@@ -452,15 +448,13 @@ def _cmd_verify(theorem: str, opts) -> int:
 
 def sample_boundary_curves(img: ImageCoefficients, radii, theta_count: int):
     """Image of each circle |z| = r under the mapping at theta_count angles, in increasing r."""
-    if theta_count < 64:
-        raise DomainError(f"theta_count must be >= 64, got {theta_count}")
+    theta_count = check_integer(theta_count, 64, "theta_count")
     return list(SampleGrid(radii, theta_count).circle_values(img.h, img.g))
 
 
 def curves_to_svg(curves, width: int, height: int) -> str:
     """SVG 1.1 document: one closed polyline per curve plus coordinate axes."""
-    if width < 1 or height < 1:
-        raise DomainError(f"width/height must be >= 1, got {width}x{height}")
+    width, height = check_integer(width, 1, "width"), check_integer(height, 1, "height")
     xs = np.concatenate([c.real for c in curves] + [np.zeros(1)])
     ys = np.concatenate([-c.imag for c in curves] + [np.zeros(1)])  # screen y grows downward
     xmin, xmax = float(xs.min()), float(xs.max())

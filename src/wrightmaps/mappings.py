@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .wright import WrightParams, norm_coeffs
 
 
@@ -134,8 +134,7 @@ def eval_derivs(img: ImageCoefficients, pt: EvalPoint):
 
 def random_coefficients(rng: np.random.Generator, n_max: int = 50) -> CoefficientSeq:
     """Coefficients drawn uniformly from the closed unit disk, A_2..A_{n_max}, B_1..B_{n_max}."""
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
+    n_max = check_integer(n_max, 2, "n_max")
 
     def disk(k):
         return np.sqrt(rng.random(k)) * np.exp(2j * np.pi * rng.random(k))

@@ -60,6 +60,9 @@ class SampleGrid:
         the angle axis evaluates every radius.  The rounding error is of order
         u log(theta_count) sum_k (|a_k| + |b_k|) r^k, with u the unit roundoff.
         """
+        # A convolved image ends in exact zeros where c_n underflows; they add nothing.
+        a = np.trim_zeros(a, "b") if len(a) and a[-1] == 0 else a
+        b = np.trim_zeros(b, "b") if len(b) and b[-1] == 0 else b
         n, r = self.theta_count, np.array(self.radii)[:, None]
         size = n * max(1, -(-max(len(a), len(b)) // n))  # a multiple of n that holds both
         k = np.arange(max(len(a), len(b)))
@@ -147,9 +150,11 @@ def sweep(img: ImageCoefficients, grid: SampleGrid, quantity: str, threshold: fl
     violations of kind 'singular' or 'nonfinite' with value -inf, never raised:
     a zero of f off the origin is itself a failure, and a value that is not a
     number cannot show that the inequality holds.  Violations are ordered
-    radius-major, then by angle.
+    radius-major, then by angle.  A NaN threshold is a DomainError.
     """
     threshold = float(threshold)
+    if np.isnan(threshold):
+        raise DomainError("threshold must not be NaN")
     thetas = grid.thetas()
     vals, singular = _quantity_values(img, quantity, grid.circle_values)
     finite = np.isfinite(vals)

@@ -138,6 +138,7 @@ def norm_coeffs(p: WrightParams, count: int) -> list:
     The least positive tolerance stops it only at a c_n that rounds to 0 past the
     peak of the log-concave c_n, where every later one rounds to 0 too.
     """
+    count = check_integer(count, 0, "count")
     ctrl = SeriesControl(max(count, 2), math.ulp(0.0))
     coeffs = list(itertools.islice(_terms(p, 1.0, ctrl=ctrl), count))
     return coeffs + [0.0] * (count - len(coeffs))

@@ -1,6 +1,9 @@
 """Command-line contract: output formats, config handling, exit codes."""
 
+import contextlib
+import io
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -8,9 +11,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wrightmaps import identity_image
-from wrightmaps.cli import curves_to_svg, read_coeff_csv, sample_boundary_curves, write_coeff_csv
+from wrightmaps.cli import curves_to_svg, main, read_coeff_csv, sample_boundary_curves, write_coeff_csv
 from wrightmaps.mappings import CoefficientSeq
 
 
@@ -410,3 +415,149 @@ def test_render_draws_radii_in_increasing_order(tmp_path):
     assert run_cli("render", "--radii", "0.9,0.5", "--out", str(given)).returncode == 0
     assert run_cli("render", "--radii", "0.5,0.9", "--out", str(sorted_)).returncode == 0
     assert given.read_bytes() == sorted_.read_bytes()
+
+
+def test_verify_million_coefficients_is_fast():
+    # A convolved image is exactly zero past the index where c_n underflows
+    # (about n = 100 here), so the oracle's cost must not grow with that tail.
+    verify = ["verify", "T3.1", "--p1", "2,1,2,1", "--f", "random", "--count", "5"]
+    out = run_cli_bounded(*verify, "--nmax", "1000000", seconds=5)
+    assert out.returncode == 0, out.stderr[-300:]
+    assert "verdicts: 5 consistent, 0 vacuous, 0 counterexample" in out.stdout
+
+
+def test_unparsable_input_files_exit_2(tmp_path):
+    binary, missing, wide = tmp_path / "binary.txt", tmp_path / "missing.txt", tmp_path / "wide.csv"
+    binary.write_bytes(b"\xff\xfe\x00")
+    wide.write_text("part,n,re,im\na,2," + "1" * 200_000 + ",0\n")  # past the csv module's field limit
+    verify = ["verify", "T3.1", "--p1", "2,1,2,1", "--count", "1"]
+    for option, path in (("--config=", binary), ("--f=file:", binary), ("--f=file:", wide)):
+        out = run_cli(*verify, option + str(path))
+        assert out.returncode == 2, out.stderr[-300:]
+        assert out.stderr.startswith("error: ") and str(path) in out.stderr
+        assert "Traceback" not in out.stderr
+    # A file that cannot be opened keeps its own codes.
+    assert run_cli(*verify, "--config", str(missing)).returncode == 2
+    assert run_cli(*verify, "--f", f"file:{missing}").returncode == 4
+
+
+def test_verify_counterexample_lines():
+    # T3.2's quoted hypothesis admits mappings the oracle refutes; the derived
+    # form does not, so under the default gate they are vacuous.
+    verify = ["verify", "T3.2", "--p1", "2,1,2,1", "--sigma", "0.5", "--order", "0.6",
+              "--f", "random", "--count", "5", "--seed", "1", "--theta-count", "256"]
+    out = run_cli(*verify, "--gate", "stated")
+    assert out.returncode == 1, out.stderr[-300:]
+    *lines, summary = out.stdout.splitlines()
+    number = r"-?\d+(\.\d+)?(e-?\d+)?"
+    line = re.compile(rf"f\[(\d)\]: COUNTEREXAMPLE dtheta_arg_f at r=0\.5 theta={number} value={number} \(value\)")
+    matches = [line.fullmatch(text) for text in lines]
+    assert all(matches) and [int(m.group(1)) for m in matches] == list(range(5)), lines
+    assert all(float(text.split("value=")[1].split()[0]) < 0.6 for text in lines)
+    assert summary == "verdicts: 0 consistent, 0 vacuous, 5 counterexample"
+    out = run_cli(*verify)
+    assert out.returncode == 0, out.stderr[-300:]
+    assert out.stdout.count(": VACUOUS (as_derived ") == 5
+    assert out.stdout.endswith("verdicts: 0 consistent, 5 vacuous, 0 counterexample\n")
+
+
+# ------------------------- robustness property of main -------------------------
+
+
+def _mostly(good, bad):
+    """`good` four times in five, else `bad`, so that most draws get past the first check."""
+    return st.sampled_from([good] * 4 + [bad]).flatmap(lambda strategy: strategy)
+
+
+_BAD = st.sampled_from(["nan", "inf", "-inf", "1e400", "1e-320", "x", "", "2.5", "1,2"])
+_REAL = _mostly(st.floats(-0.5, 2).map(repr), _BAD)
+_SIZE = _mostly(st.integers(-2, 64).map(str), _BAD)  # nmax, theta-count and count stay small
+_PARAMS = _mostly(
+    st.lists(st.floats(0.05, 3), min_size=4, max_size=4).map(lambda p: ",".join(map(repr, p))),
+    st.lists(_REAL, max_size=5).map(",".join),
+)
+_COMPLEX = _mostly(st.tuples(st.floats(-0.9, 0.9), st.floats(-0.3, 0.3)).map("{0[0]},{0[1]}".format), _BAD)
+_RADII = _mostly(st.lists(st.floats(0.05, 0.99), min_size=1, max_size=3).map(lambda r: ",".join(map(repr, r))),
+                 st.lists(_REAL, max_size=3).map(",".join))
+_NAME = _mostly(st.sampled_from(["sigma", "order", "b1", "alpha1", "beta2", "delta1"]), st.just("bogus"))
+# At most 11 values an axis, or an axis past the point limit, or a malformed one.
+_STEP = _mostly(st.sampled_from(["0.25", "0.5", "1"]), st.sampled_from(["0", "-1", "nan", "inf", "1e-7"]))
+_AXIS = _mostly(st.builds("{}={}:{}:{}".format, _NAME, st.floats(0, 0.5), st.floats(0, 2.5), _STEP), _BAD)
+_FIX = _mostly(st.builds("{}={}".format, _NAME, _REAL), _BAD)
+_HYPOTHESIS_OPTIONS = {
+    "p2": _PARAMS, "sigma": _COMPLEX, "order": _REAL, "b1": _REAL,
+    "gate": _mostly(st.sampled_from(["stated", "derived"]), st.just("both")),
+}
+_SOURCE = _mostly(
+    st.sampled_from(["identity", "random", "classbound:KH0", "classbound:CH", "file:COEFFS"]),
+    st.sampled_from(["classbound:x", "file:MISSING", "file:DIR", "x"]),
+)
+# (required, optional) options of each command; a required one is left out one time in five.
+_OPTIONS = {
+    "eval": ({"p": _PARAMS}, {"z": _COMPLEX}),
+    "derivs": ({"p": _PARAMS}, {}),
+    "check": ({"p1": _PARAMS}, _HYPOTHESIS_OPTIONS),
+    "scan": ({"axis": st.lists(_AXIS, min_size=1, max_size=2), "out": st.just("OUT")},
+             {"fix": st.lists(_FIX, max_size=3)}),
+    "verify": ({"p1": _PARAMS}, {**_HYPOTHESIS_OPTIONS, "f": _SOURCE, "count": _SIZE, "nmax": _SIZE,
+                                 "radii": _RADII, "theta-count": _SIZE}),
+    "render": ({"out": _mostly(st.just("OUT"), st.sampled_from(["DIR", "MISSING/x"]))},
+               {"f": _SOURCE, "p1": _PARAMS, "p2": _PARAMS, "sigma": _COMPLEX, "nmax": _SIZE,
+                "radii": _RADII, "theta-count": _SIZE, "width": _SIZE, "height": _SIZE}),
+}
+_GLOBAL = {
+    "ctrl-max-terms": _mostly(st.integers(-1, 2000).map(str), _BAD),
+    "ctrl-tol": _mostly(st.sampled_from(["1e-14", "1e-8", "0", "-1"]), _BAD),
+    "seed": _mostly(st.integers(-2, 10**30).map(str), _BAD),
+    "config": _mostly(st.just("CONFIG"), st.just("MISSING")),
+    "show-config": st.just(None),
+}
+_ROW = st.builds(
+    "{},{},{},{}\n".format,
+    _mostly(st.sampled_from(["a", "b"]), st.just("c")),
+    _mostly(st.integers(1, 70).map(str), st.sampled_from(["-1", "0", "1000001", "x"])),
+    _REAL, _REAL,
+)
+_COEFF_FILE = _mostly(st.lists(_ROW, max_size=6).map(lambda rows: "part,n,re,im\n" + "".join(rows)).map(str.encode),
+                      st.binary(max_size=40))
+
+
+@st.composite
+def _invocations(draw):
+    """(argv with placeholder paths, coefficient-file bytes, config-file bytes)."""
+    cmd = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [cmd]
+    if cmd in ("check", "scan", "verify"):
+        argv.append(draw(_mostly(st.sampled_from(["T3.1", "T4.2", "T5.3", "C1", "R1"]), st.just("T9.9"))))
+    required, optional = _OPTIONS[cmd]
+    options = draw(st.fixed_dictionaries(
+        {k: v for k, v in required.items() if draw(_mostly(st.just(True), st.just(False)))},
+        optional={**optional, **_GLOBAL},
+    ))
+    for key, value in options.items():
+        for item in value if isinstance(value, list) else [value]:
+            argv.append(f"--{key}" if item is None else f"--{key}={item}")
+    # A config file sets the command's number and text options, never a file path.
+    values = {**required, **optional, **_GLOBAL, "bogus": _REAL}
+    keys = sorted(set(values) - {"out", "f", "axis", "fix", "config", "show-config"})
+    lines = st.sampled_from(keys).flatmap(lambda key: values[key].map(f"{key} = {{}}\n".format))
+    config = draw(_mostly(st.lists(lines, max_size=3).map("".join).map(str.encode), st.binary(max_size=40)))
+    return argv, draw(_COEFF_FILE), config
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_invocations())
+def test_main_exits_with_a_documented_code(tmp_path, invocation):
+    argv, coeffs, config = invocation
+    (tmp_path / "coeffs.csv").write_bytes(coeffs)
+    (tmp_path / "config.txt").write_bytes(config)
+    (tmp_path / "dir").mkdir(exist_ok=True)
+    paths = {"COEFFS": "coeffs.csv", "CONFIG": "config.txt", "OUT": "out", "DIR": "dir", "MISSING": "missing"}
+    argv = [re.sub("|".join(paths), lambda m: str(tmp_path / paths[m.group()]), arg) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in range(5), argv

@@ -25,11 +25,14 @@ from wrightmaps import (
     lemma5_sum,
     lemma6_membership,
     norm_coeff,
+    norm_coeffs,
     normalized_eval,
     random_coefficients,
     stated_hypothesis,
+    sweep,
     wright_eval,
 )
+from wrightmaps.cli import curves_to_svg, sample_boundary_curves
 
 P1111 = WrightParams(1, 1, 1, 1)
 P2121 = WrightParams(2, 1, 2, 1)
@@ -289,8 +292,29 @@ NAN, INF = float("nan"), float("inf")
         lambda: norm_coeff(P2121, INF),
         lambda: class_bound_coeffs("KH0", 0, NAN),
         lambda: class_bound_coeffs("KH0", 0, INF),
+        # A NaN threshold compares false everywhere, so it would report no violation.
+        lambda: sweep(ImageCoefficients([], [0, 0.9]), SampleGrid((0.5,), 64), "jacobian_margin", NAN),
+        # Integer arguments below their minimum or not integers at all.
+        *(lambda n=n: random_coefficients(np.random.default_rng(0), n) for n in (2.5, NAN, INF, 1)),
+        *(lambda n=n: norm_coeffs(P2121, n) for n in (2.5, NAN, INF, -1)),
+        *(lambda n=n: sample_boundary_curves(ImageCoefficients(), [0.5], n) for n in (64.5, NAN, INF, 63)),
+        *(lambda n=n: curves_to_svg([np.ones(4, dtype=complex)], n, 800) for n in (2.5, NAN, INF, 0)),
+        *(lambda n=n: curves_to_svg([np.ones(4, dtype=complex)], 800, n) for n in (2.5, NAN, INF, 0)),
     ],
 )
 def test_library_rejects_non_finite_inputs(call):
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # The message names this argument and its own minimum, not a callee's.
+        (lambda: norm_coeffs(P2121, 2.5), "count must be an integer >= 0, got 2.5"),
+        (lambda: sample_boundary_curves(ImageCoefficients(), [0.5], 64.5), "theta_count must be an integer >= 64"),
+    ],
+)
+def test_integer_arguments_name_their_own_bound(call, message):
+    with pytest.raises(DomainError, match=message):
         call()
