@@ -36,6 +36,7 @@ from .criteria import (
     close_to_convex_probe,
     default_epsilons,
     exact_image_criterion,
+    hypothesis_columns,
     lemma1_sum,
     lemma2_sum,
     lemma5_sum,

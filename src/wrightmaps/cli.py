@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import math
 import sys
 
@@ -22,6 +21,7 @@ from .criteria import (
     class_bound_coeffs,
     close_to_convex_probe,
     default_epsilons,
+    hypothesis_columns,
     stated_hypothesis,
 )
 from .errors import ConvergenceError, DomainError, check_integer
@@ -81,7 +81,8 @@ _LIST_OPTIONS = {"axis", "fix"}
 _THEOREM_COMMANDS = ("check", "scan", "verify")
 # The two forms of every hypothesis report, in stated_hypothesis's order; --gate names one.
 _FORMS = ("stated", "derived")
-# Largest scan or circle grid, in points, and coefficient index; checked before allocating.
+# Largest scan or circle grid, in points, coefficient index and series term budget;
+# checked before allocating or summing.
 _MAX_POINTS = 1_000_000
 
 _PARAM_NAMES = (
@@ -115,11 +116,15 @@ def _parse_float(text, key):
     return value
 
 
-def _parse_int(text, key):
+def _parse_int(text, key, minimum=None, maximum=None):
+    """int(text), at least `minimum` (by check_integer) and at most `maximum` where given."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise DomainError(f"{key}: expected an integer, got {text!r}") from None
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{key} must be <= {maximum}, got {value}")
+    return value if minimum is None else check_integer(value, minimum, key)
 
 
 def parse_params(text: str) -> WrightParams:
@@ -199,8 +204,9 @@ def _show_config(cmd: str, opts: dict) -> None:
 
 
 def _ctrl(opts) -> SeriesControl:
+    # At most _MAX_POINTS terms: a barely decaying kernel spends the whole budget.
     return SeriesControl(
-        _parse_int(opts["ctrl-max-terms"], "ctrl-max-terms"),
+        _parse_int(opts["ctrl-max-terms"], "ctrl-max-terms", maximum=_MAX_POINTS),
         _parse_float(opts["ctrl-tol"], "ctrl-tol"),
     )
 
@@ -336,35 +342,38 @@ def _parse_axis(text: str):
     return name, values
 
 
+def _csv_column(values):
+    """_csv_num of every value, formatting each distinct value (bit for bit) once."""
+    bits, index = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    return np.array([_csv_num(v) for v in bits.view(float).tolist()], dtype=object)[index].tolist()
+
+
 def _cmd_scan(theorem: str, opts) -> int:
     """grid scan to CSV"""
-    base = {name: 1.0 for name in _PARAM_NAMES}
-    base.update({"sigma": 0.0, "order": 0.0, "b1": 0.0})
+    grid = {name: 1.0 for name in _PARAM_NAMES}
+    grid.update({"sigma": 0.0, "order": 0.0, "b1": 0.0})
     for text in opts["fix"]:
         name, value = _param_setting(text, "fix", "name=value")
-        base[name] = _parse_float(value, name)
+        grid[name] = _parse_float(value, name)
     axes = [_parse_axis(text) for text in opts["axis"]]
-    points = math.prod(len(grid) for _, grid in axes)
-    if points > _MAX_POINTS:
-        raise DomainError(f"scan grid has {points} points, more than {_MAX_POINTS}")
+    shape = [len(values) for _, values in axes]
+    if math.prod(shape) > _MAX_POINTS:
+        raise DomainError(f"scan grid has {math.prod(shape)} points, more than {_MAX_POINTS}")
     ctrl = _ctrl(opts)
-    names = [name for name, _ in axes]
-    rows = []
-    for combo in itertools.product(*(grid for _, grid in axes)):
-        values = dict(base)
-        values.update(zip(names, combo))
-        row = [theorem] + [_csv_num(values[name]) for name in _PARAM_NAMES]
-        p1 = WrightParams(values["alpha1"], values["beta1"], values["gamma1"], values["delta1"])
-        p2 = WrightParams(values["alpha2"], values["beta2"], values["gamma2"], values["delta2"])
-        spec = ConvolutionSpec(p1, p2, values["sigma"])
-        for rep in stated_hypothesis(theorem, spec, values["order"], values["b1"], ctrl):
-            row += [_csv_num(rep.lhs), _csv_num(rep.rhs), str(rep.satisfied).lower()]
-        rows.append(row)
+    for k, (name, values) in enumerate(axes):  # a later axis over the same name wins
+        grid[name] = np.reshape(values, [-1 if j == k else 1 for j in range(len(axes))])
+    # Every parameter's value at every point, the first axis varying slowest.
+    col = {name: np.broadcast_to(value, shape).ravel() for name, value in grid.items()}
+    kernels = (np.stack([col[q + k] for q in ("alpha", "beta", "gamma", "delta")], axis=1) for k in "12")
+    reports = hypothesis_columns(theorem, *kernels, col["sigma"], col["order"], col["b1"], ctrl)
+    columns = [[theorem] * len(col["sigma"])] + [_csv_column(col[name]) for name in _PARAM_NAMES]
+    for lhs, rhs, satisfied in reports:
+        columns += [_csv_column(lhs), _csv_column(rhs), np.where(satisfied, "true", "false").tolist()]
+    # No field holds a comma, quote or line break, so plain joins write csv.writer's bytes.
     with open(opts["out"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theorem"] + _SCAN_HEADER)
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {opts['out']}")
+        fh.write(",".join(["theorem"] + _SCAN_HEADER) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+    print(f"wrote {len(columns[0])} rows to {opts['out']}")
     return EXIT_OK
 
 
@@ -372,14 +381,12 @@ def _mapping_sources(opts):
     """Mappings named by --f: identity, random (--count of them, else one, drawn
     lazily from --seed), classbound:<class> or file:<path>."""
     source = opts["f"]
-    nmax = _parse_int(opts["nmax"], "nmax")
-    if nmax > _MAX_POINTS:
-        raise DomainError(f"nmax must be <= {_MAX_POINTS}, got {nmax}")
-    seed = check_integer(_parse_int(opts["seed"], "seed"), 0, "seed")
+    nmax = _parse_int(opts["nmax"], "nmax", maximum=_MAX_POINTS)
+    seed = _parse_int(opts["seed"], "seed", minimum=0)
     if source == "identity":
         return [CoefficientSeq()]
     if source == "random":
-        count = check_integer(_parse_int(opts.get("count", "1"), "count"), 1, "count")
+        count = _parse_int(opts.get("count", "1"), "count", minimum=1)
         rng = np.random.default_rng(seed)
         return (random_coefficients(rng, nmax) for _ in range(count))
     if source.startswith("classbound:"):

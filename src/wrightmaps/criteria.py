@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_integer
-from .mappings import ConvolutionSpec, ImageCoefficients
-from .wright import DEFAULT_CONTROL, SeriesControl, WrightParams, derivs_at_one
+from .mappings import ConvolutionSpec, ImageCoefficients, check_sigma
+from .wright import DEFAULT_CONTROL, DerivativeValues, SeriesControl, WrightParams, derivs_at_one
 
 FORM_STATED = "as_stated"
 FORM_DERIVED = "as_derived"
@@ -204,6 +204,25 @@ def _formulas(tid, d1, d2, s, a, b):
         return stated, 6 * (1 - b), derived, 1.0
 
 
+def _route(theorem_id: str) -> TheoremRoute:
+    if theorem_id not in THEOREM_IDS:
+        raise DomainError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
+    return THEOREMS[theorem_id]
+
+
+def _check_b1(theorem_id: str, b1) -> float:
+    """|b1|, which must be < 1 for the identifiers whose condition reads it."""
+    b = abs(b1)
+    if THEOREMS[theorem_id].uses_b1 and not b < 1:
+        raise DomainError(f"|B_1| must be < 1 for {theorem_id}, got {b}")
+    return b
+
+
+def _kernel(route: TheoremRoute, p: WrightParams) -> WrightParams:
+    """The quadruple whose derivatives the formulas read: gamma = delta = 1 if the route reduces."""
+    return WrightParams(p.alpha, p.beta, 1.0, 1.0) if route.reduces_to else p
+
+
 def stated_hypothesis(
     theorem_id: str,
     spec: ConvolutionSpec,
@@ -212,25 +231,76 @@ def stated_hypothesis(
     ctrl: SeriesControl = DEFAULT_CONTROL,
 ):
     """Evaluate one identifier's condition; returns (as_stated, as_derived) reports."""
-    if theorem_id not in THEOREM_IDS:
-        raise DomainError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
+    route = _route(theorem_id)
     order = _check_order(order)
-    b = abs(b1)
-    route = THEOREMS[theorem_id]
-    if route.uses_b1 and not b < 1:
-        raise DomainError(f"|B_1| must be < 1 for {theorem_id}, got {b}")
-    p1, p2 = spec.p1, spec.p2
-    tid = theorem_id
-    if route.reduces_to:
-        p1, p2 = (WrightParams(p.alpha, p.beta, 1.0, 1.0) for p in (p1, p2))
-        tid = route.reduces_to
-    d1 = derivs_at_one(p1, ctrl)
-    d2 = derivs_at_one(p2, ctrl)
-    sl, sr, dl, dr = _formulas(tid, d1, d2, abs(spec.sigma), order, b)
+    b = _check_b1(theorem_id, b1)
+    d1 = derivs_at_one(_kernel(route, spec.p1), ctrl)
+    d2 = derivs_at_one(_kernel(route, spec.p2), ctrl)
+    sl, sr, dl, dr = _formulas(route.reduces_to or theorem_id, d1, d2, abs(spec.sigma), order, b)
     return (
         _report(theorem_id, sl, sr, FORM_STATED),
         _report(theorem_id, dl, dr, FORM_DERIVED),
     )
+
+
+def _per_distinct(fn, rows):
+    """fn(*row), or the DomainError it raises, once per distinct row of the 2-D `rows`.
+
+    Rows are compared bit for bit and results come in order of first occurrence;
+    also returns each row's index into the results.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    results = []
+    for row in rows[first[by_first]].tolist():
+        try:
+            results.append(fn(*row))
+        except DomainError as exc:
+            results.append(exc)
+    return results, np.argsort(by_first)[inverse]
+
+
+def hypothesis_columns(theorem_id: str, kernels1, kernels2, sigma, order, b1, ctrl=DEFAULT_CONTROL):
+    """stated_hypothesis at every row of a grid given as columns.
+
+    kernels1 and kernels2 hold an (alpha, beta, gamma, delta) row per point, sigma,
+    order and b1 a real value each.  Returns ((lhs, rhs, satisfied) as stated,
+    (lhs, rhs, satisfied) as derived), arrays with the bits stated_hypothesis gives
+    point by point; derivs_at_one runs once per distinct kernel.  A faulty grid
+    raises the first error of the point-by-point loop: in each row in turn p1, p2,
+    sigma, order and b1 are checked, then the two kernels evaluated.
+    """
+    route = _route(theorem_id)
+    sigma, order, b1 = (np.asarray(column, dtype=float) for column in (sigma, order, b1))
+    n = len(order)
+    pairs = np.stack([np.asarray(kernels1, dtype=float), np.asarray(kernels2, dtype=float)], axis=1)
+    kernels, kernel_of = _per_distinct(WrightParams, pairs.reshape(2 * n, 4))  # p1, p2 of row 0, ...
+    kernel_of = kernel_of.reshape(n, 2)
+    scalar_checks = ((check_sigma, sigma), (_check_order, order), (lambda b: _check_b1(theorem_id, b), b1))
+    checked = [(kernels, kernel_of[:, 0]), (kernels, kernel_of[:, 1])] + [
+        _per_distinct(fn, column[:, None]) for fn, column in scalar_checks
+    ]
+    faults = np.flatnonzero(np.stack(
+        [np.array([isinstance(r, DomainError) for r in results])[index] for results, index in checked], axis=1
+    ))  # row-major: row k's checks in the order the loop meets them
+    stop = faults[0] // len(checked) if faults.size else n
+    # Ids count up in order of first occurrence, so the kernels met before row stop are a prefix.
+    memo, values = {}, []
+    for p in kernels[: kernel_of[:stop].max(initial=-1) + 1]:
+        key = _kernel(route, p)
+        if key not in memo:
+            memo[key] = derivs_at_one(key, ctrl)
+        values.append(tuple(vars(memo[key]).values()))
+    if faults.size:
+        results, index = checked[faults[0] % len(checked)]
+        raise results[index[stop]]
+    table = np.reshape(values, (-1, 4))[kernel_of]  # (n, 2, 4): each row's p1 and p2 derivative values
+    d1, d2 = (DerivativeValues(*table[:, side].T) for side in (0, 1))
+    with np.errstate(all="ignore"):  # overflow and nan pass silently, as in float arithmetic
+        sl, sr, dl, dr = _formulas(route.reduces_to or theorem_id, d1, d2, np.abs(sigma), order, np.abs(b1))
+        return tuple((lhs, np.broadcast_to(rhs, n), lhs <= rhs) for lhs, rhs in ((sl, sr), (dl, dr)))
 
 
 def exact_image_criterion(img: ImageCoefficients, order: float, target: str) -> CriterionReport:

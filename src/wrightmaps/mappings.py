@@ -46,9 +46,15 @@ class ConvolutionSpec:
     sigma: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", complex(self.sigma))
-        if not abs(self.sigma) < 1:
-            raise DomainError(f"|sigma| must be < 1, got {abs(self.sigma)}")
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
+
+
+def check_sigma(sigma) -> complex:
+    """The co-analytic weight as a complex number; DomainError unless |sigma| < 1."""
+    sigma = complex(sigma)
+    if not abs(sigma) < 1:
+        raise DomainError(f"|sigma| must be < 1, got {abs(sigma)}")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,8 @@ def identity_image() -> ImageCoefficients:
 
 def convolve(f: CoefficientSeq, spec: ConvolutionSpec) -> ImageCoefficients:
     """Coefficientwise products: ha[n] = c_n(p1) A_n, gb[n] = sigma c_n(p2) B_n."""
-    ha = np.array(norm_coeffs(spec.p1, 1 + f.a.size)[1:], dtype=complex) * f.a
-    gb = spec.sigma * np.array(norm_coeffs(spec.p2, f.b.size), dtype=complex) * f.b
+    ha = norm_coeffs(spec.p1, 1 + f.a.size)[1:] * f.a
+    gb = spec.sigma * norm_coeffs(spec.p2, f.b.size) * f.b
     return ImageCoefficients(ha, gb)
 
 

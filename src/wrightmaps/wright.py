@@ -22,6 +22,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, check_integer
 
 # Geometric tail-safety factor: summation stops only once consecutive term
@@ -132,16 +134,18 @@ def _terms(p: WrightParams, r: float, normalized=True, weight=0, ctrl=DEFAULT_CO
     raise ConvergenceError(f"series tail not below {tol} within {ctrl.max_terms} terms for {p}, r={r}")
 
 
-def norm_coeffs(p: WrightParams, count: int) -> list:
-    """[c_1, ..., c_count] in one pass of the kernel.
+def norm_coeffs(p: WrightParams, count: int) -> np.ndarray:
+    """[c_1, ..., c_count] as a float array, in one pass of the kernel.
 
     The least positive tolerance stops it only at a c_n that rounds to 0 past the
     peak of the log-concave c_n, where every later one rounds to 0 too.
     """
     count = check_integer(count, 0, "count")
     ctrl = SeriesControl(max(count, 2), math.ulp(0.0))
-    coeffs = list(itertools.islice(_terms(p, 1.0, ctrl=ctrl), count))
-    return coeffs + [0.0] * (count - len(coeffs))
+    coeffs = np.zeros(count)
+    head = np.fromiter(itertools.islice(_terms(p, 1.0, ctrl=ctrl), count), float)
+    coeffs[: head.size] = head
+    return coeffs
 
 
 def norm_coeff(p: WrightParams, n: int) -> float:
@@ -149,7 +153,7 @@ def norm_coeff(p: WrightParams, n: int) -> float:
 
     Computed as exp of a log-gamma difference; always > 0, and c_1 == 1.
     """
-    return norm_coeffs(p, check_integer(n, 1, "coefficient index"))[-1]
+    return float(norm_coeffs(p, check_integer(n, 1, "coefficient index"))[-1])
 
 
 def _phase_sum(p: WrightParams, z, normalized: bool, ctrl: SeriesControl) -> complex:

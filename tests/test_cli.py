@@ -14,8 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wrightmaps import identity_image
-from wrightmaps.cli import curves_to_svg, main, read_coeff_csv, sample_boundary_curves, write_coeff_csv
+from wrightmaps import THEOREM_IDS, ConvolutionSpec, WrightParams, identity_image, stated_hypothesis
+from wrightmaps.cli import _csv_num, curves_to_svg, main, read_coeff_csv, sample_boundary_curves, write_coeff_csv
 from wrightmaps.mappings import CoefficientSeq
 
 
@@ -87,6 +87,61 @@ def test_scan_single_point_matches_check(tmp_path):
     lhs_from_check = float(check.stdout.split("lhs=")[1].split()[0])
     lhs_derived = float(row[lines[0].split(",").index("lhs_derived")])
     assert lhs_derived == pytest.approx(lhs_from_check, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        # Row 0's kernel fails before row 1's sigma is reached.
+        (["--axis", "sigma=0.5:1.0:0.5", "--ctrl-max-terms", "2"], 3,
+         "error: series tail not below 1e-14 within 2 terms for "
+         "WrightParams(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0), r=1.0\n"),
+        (["--axis", "sigma=0.5:1.0:0.5"], 2, "error: |sigma| must be < 1, got 1.0\n"),
+        (["--axis", "order=0:1:0.5", "--fix", "alpha1=0"], 2,
+         "error: alpha and gamma must be > 0, got alpha=0.0, gamma=1.0\n"),
+    ],
+)
+def test_scan_fails_on_first_faulty_row(tmp_path, argv, code, stderr):
+    out_csv = tmp_path / "x.csv"
+    out = run_cli("scan", "T3.1", *argv, "--out", str(out_csv))
+    assert (out.returncode, out.stderr, out.stdout) == (code, stderr, "")
+    assert not out_csv.exists()
+
+
+# Grids with repeated kernels, a kernel on the innermost axis, a slow kernel
+# (beta + delta = 0.2) and a b1 axis.
+_AGREEMENT_GRIDS = [
+    ["--axis", "gamma1=0.5:2:0.5", "--axis", "alpha2=0.5:1.5:0.5", "--fix", "sigma=0.4", "--fix", "order=0.1"],
+    ["--fix", "beta1=0.1", "--fix", "delta1=0.1", "--axis", "sigma=0:0.6:0.3", "--axis", "order=0:0.5:0.25"],
+    ["--axis", "b1=0:0.9:0.3", "--axis", "beta2=0.5:2:0.75", "--fix", "delta2=0.2", "--fix", "sigma=0.7"],
+]
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_scan_rows_match_check(tmp_path, theorem):
+    for k, grid in enumerate(_AGREEMENT_GRIDS):
+        out_csv = tmp_path / f"{k}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["scan", theorem, *grid, "--out", str(out_csv)]) == 0
+        header, *rows = (line.split(",") for line in out_csv.read_text(encoding="utf-8").splitlines())
+        assert len(rows) > 1
+        for row in rows:
+            v = dict(zip(header[1:12], map(float, row[1:12])))
+            spec = ConvolutionSpec(
+                *(WrightParams(*(v[f"{q}{side}"] for q in ("alpha", "beta", "gamma", "delta"))) for side in "12"),
+                v["sigma"],
+            )
+            reports = stated_hypothesis(theorem, spec, v["order"], v["b1"])
+            assert row[0] == theorem
+            assert row[12:] == [s for r in reports for s in (_csv_num(r.lhs), _csv_num(r.rhs), str(r.satisfied).lower())]
+
+
+def test_ctrl_max_terms_is_bounded():
+    # 10^9 terms of a barely decaying kernel would run for most of an hour.
+    out = run_cli("derivs", "--p", "1,1,1,1", "--ctrl-max-terms", "1000000000")
+    assert out.returncode == 2
+    assert out.stderr == "error: ctrl-max-terms must be <= 1000000, got 1000000000\n"
+    assert run_cli("derivs", "--p", "1,1,1,1", "--ctrl-max-terms", "1000000").returncode == 0
 
 
 def test_scan_monotone_in_sigma(tmp_path):
@@ -506,7 +561,8 @@ _OPTIONS = {
                 "radii": _RADII, "theta-count": _SIZE, "width": _SIZE, "height": _SIZE}),
 }
 _GLOBAL = {
-    "ctrl-max-terms": _mostly(st.integers(-1, 2000).map(str), _BAD),
+    # Budgets past the 10^6 bound too, which must exit 2 before any series runs.
+    "ctrl-max-terms": _mostly(_mostly(st.integers(-1, 2000), st.sampled_from([10**9, 10**20])).map(str), _BAD),
     "ctrl-tol": _mostly(st.sampled_from(["1e-14", "1e-8", "0", "-1"]), _BAD),
     "seed": _mostly(st.integers(-2, 10**30).map(str), _BAD),
     "config": _mostly(st.just("CONFIG"), st.just("MISSING")),

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wrightmaps import (
+    ConvergenceError,
     ConvolutionSpec,
     CoefficientSeq,
     DomainError,
@@ -20,6 +23,7 @@ from wrightmaps import (
     convolve,
     default_epsilons,
     exact_image_criterion,
+    hypothesis_columns,
     lemma1_sum,
     lemma2_sum,
     lemma5_sum,
@@ -191,6 +195,59 @@ def test_specialization_consistency():
 def test_unknown_theorem_id():
     with pytest.raises(DomainError):
         stated_hypothesis("T9.9", spec_of(P1111), 0.0)
+
+
+# Faults a grid row can carry, as (column, value): alpha or gamma 0, beta 0 (a
+# fault where delta is 0 too), beta 0.05 (too slow for a 60-term budget where
+# delta is 0.05), |sigma| = 1, an order outside [0, 1), and |b1| = 1, which
+# only T5.1 and T5.4 reject.
+_FAULTS = [(0, 0.0), (6, 0.0), (1, 0.0), (5, 0.0), (1, 0.05), (5, 0.05), (8, -1.0), (9, 1.0), (9, -0.25), (10, -1.0)]
+
+
+@st.composite
+def _grids(draw):
+    """Rows of (alpha1, ..., delta2, sigma, order, b1) with repeated kernels and up to three faults."""
+    size = draw(st.integers(1, 6))
+    values = [[1.0, 2.0], [0.5, 1.0], [1.0, 2.0], [0.0, 0.05, 1.0]] * 2 + [[0.0, 0.5], [0.0, 0.5], [0.0, 0.5]]
+    rows = [[draw(st.sampled_from(v)) for v in values] for _ in range(size)]
+    for row, (column, value) in draw(st.lists(st.tuples(st.sampled_from(rows), st.sampled_from(_FAULTS)), max_size=3)):
+        row[column] = value
+    return rows
+
+
+def _point_by_point(tid, rows, ctrl):
+    """stated_hypothesis row after row, as a per-point caller runs it: the reports, or the first error."""
+    reports = []
+    try:
+        for row in rows:
+            spec = ConvolutionSpec(WrightParams(*row[:4]), WrightParams(*row[4:8]), row[8])
+            reports.append(stated_hypothesis(tid, spec, row[9], row[10], ctrl))
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return [[(r.lhs, r.rhs, r.satisfied) for r in row] for row in reports]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(THEOREM_IDS), _grids())
+# Rows with several faults, which the first check met must name: p2, sigma, order.
+@example("T5.1", [[1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+@example("T5.4", [[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+@example("T5.1", [[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0]])
+def test_hypothesis_columns_matches_point_by_point(tid, rows):
+    ctrl = SeriesControl(60)
+    expected = _point_by_point(tid, rows, ctrl)
+    grid = np.array(rows)
+    try:
+        forms = hypothesis_columns(tid, grid[:, :4], grid[:, 4:8], *grid[:, 8:].T, ctrl)
+    except (DomainError, ConvergenceError) as exc:
+        assert (type(exc), str(exc)) == expected
+        return
+    got = [[(lhs[k], rhs[k], sat[k]) for lhs, rhs, sat in forms] for k in range(len(rows))]
+    assert got == expected
+    # Bit for bit too: == would let -0.0 pass for 0.0.
+    assert np.array([[rep[:2] for rep in row] for row in got]).tobytes() == np.array(
+        [[rep[:2] for rep in row] for row in expected]
+    ).tobytes()
 
 
 def test_exact_image_criterion_examples():

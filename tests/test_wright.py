@@ -1,5 +1,6 @@
 """Series evaluation: frozen values, reductions, index-shift identities."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -17,9 +18,11 @@ from wrightmaps import (
     WrightParams,
     derivs_at_one,
     norm_coeff,
+    norm_coeffs,
     normalized_eval,
     wright_eval,
 )
+from wrightmaps.wright import _terms
 
 # Frozen from a 50-digit direct series evaluation done ahead of the build.
 I0_AT_2 = 2.2795853023360673  # sum 1/(n!)^2
@@ -84,6 +87,18 @@ def test_norm_coeff_examples():
     assert norm_coeff(WrightParams(2, 1, 2, 0), 2) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(DomainError):
         norm_coeff(P1111, 0)
+
+
+def test_norm_coeffs_is_a_zero_padded_array():
+    # c_n of (2,1,2,1) is 1/(n!)^2 up to a constant and underflows near n = 100.
+    p = WrightParams(2, 1, 2, 1)
+    coeffs = norm_coeffs(p, 400)
+    terms = list(itertools.islice(_terms(p, 1.0, ctrl=SeriesControl(400, math.ulp(0.0))), 400))
+    assert isinstance(coeffs, np.ndarray) and coeffs.dtype == float and coeffs.shape == (400,)
+    assert 50 < len(terms) < 400
+    assert coeffs[: len(terms)].tolist() == terms
+    assert coeffs[:20] == pytest.approx([1 / math.factorial(n) ** 2 for n in range(1, 21)], rel=1e-13)
+    assert not coeffs[len(terms):].any()
 
 
 def test_norm_coeff_positive():
