@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -332,11 +333,13 @@ def _parse_axis(text: str):
     if step <= 0:
         raise DomainError(f"axis step must be > 0, got {step}")
     limit = stop + 1e-12 * max(1.0, abs(step))
+    # start + k*step rounds monotonically in k, so the axis holds more than
+    # _MAX_POINTS values exactly when its value at k = _MAX_POINTS is in range.
+    if start + _MAX_POINTS * step <= limit:
+        raise DomainError(f"axis {name} has more than {_MAX_POINTS} values")
     values = []
     while start + len(values) * step <= limit:
         values.append(start + len(values) * step)
-        if len(values) > _MAX_POINTS:
-            raise DomainError(f"axis {name} has more than {_MAX_POINTS} values")
     if not values:
         raise DomainError(f"axis produced no values (start={start}, stop={stop}, step={step})")
     return name, values
@@ -456,7 +459,11 @@ def _cmd_verify(theorem: str, opts) -> int:
 def sample_boundary_curves(img: ImageCoefficients, radii, theta_count: int):
     """Image of each circle |z| = r under the mapping at theta_count angles, in increasing r."""
     theta_count = check_integer(theta_count, 64, "theta_count")
-    return list(SampleGrid(radii, theta_count).circle_values(img.h, img.g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = SampleGrid(radii, theta_count).circle_values(img.h, img.g)
+    if not np.isfinite(values).all():
+        raise ConvergenceError("boundary curve overflows: a sampled value is not finite")
+    return list(values)
 
 
 def curves_to_svg(curves, width: int, height: int) -> str:
@@ -470,6 +477,8 @@ def curves_to_svg(curves, width: int, height: int) -> str:
     pad = 0.05 * span
     vb = (xmin - pad, ymin - pad, (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad)
     stroke = span / 400
+    if not all(map(math.isfinite, (*vb, vb[0] + vb[2], vb[1] + vb[3], 2 * stroke))):
+        raise ConvergenceError(f"boundary curves overflow the viewport (span {span:.3g})")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
@@ -481,7 +490,8 @@ def curves_to_svg(curves, width: int, height: int) -> str:
     ]
     for curve in curves:
         closed = np.concatenate([curve, curve[:1]])
-        points = " ".join(f"{p.real:.12g},{-p.imag:.12g}" for p in closed)
+        xy = np.stack([closed.real, -closed.imag], axis=1).ravel().tolist()  # x0, y0, x1, ...
+        points = " ".join(["%.12g,%.12g"] * len(closed)) % tuple(xy)
         lines.append(
             f'  <polyline fill="none" stroke="#1f4e9c" stroke-width="{2 * stroke:.12g}" '
             f'points="{points}"/>'
@@ -528,6 +538,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built on the first main() call, not at import; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for key in (*_GLOBAL_DEFAULTS, "config"):

@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -15,7 +16,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wrightmaps import THEOREM_IDS, ConvolutionSpec, WrightParams, identity_image, stated_hypothesis
-from wrightmaps.cli import _csv_num, curves_to_svg, main, read_coeff_csv, sample_boundary_curves, write_coeff_csv
+from wrightmaps.cli import (
+    _build_parser,
+    _csv_num,
+    _parse_axis,
+    curves_to_svg,
+    main,
+    read_coeff_csv,
+    sample_boundary_curves,
+    write_coeff_csv,
+)
+from wrightmaps.errors import DomainError
 from wrightmaps.mappings import CoefficientSeq
 
 
@@ -196,6 +207,54 @@ def test_scan_rejects_bad_specs(tmp_path):
     assert run_cli("scan", "T3.1", "--out", out_csv).returncode == 2  # no axis
 
 
+def _enumerated_axis(start, stop, step):
+    """An axis's values by enumeration alone, raising DomainError past 10^6 values."""
+    limit = stop + 1e-12 * max(1.0, abs(step))
+    values = []
+    while start + len(values) * step <= limit:
+        values.append(start + len(values) * step)
+        if len(values) > 1_000_000:
+            raise DomainError("axis sigma has more than 1000000 values")
+    return values
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "0:999999:1",  # exactly 10^6 values
+        "0:1000000:1",  # one too many
+        "0.5:0.5000004:4e-13",
+        "0.1:0.7:0.1",
+        "-0.0:0:1",
+        "1e20:1e20:1",  # 8193 equal values: start + k*step rounds back to start
+        "-1e308:1e308:1e303",  # k*step overflows before k reaches 10^6
+    ],
+)
+def test_axis_bound_matches_enumeration(spec):
+    start, stop, step = map(float, spec.split(":"))
+    try:
+        expected = _enumerated_axis(start, stop, step)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=str(exc)):
+            _parse_axis(f"sigma={spec}")
+    else:
+        name, values = _parse_axis(f"sigma={spec}")
+        assert name == "sigma" and len(values) == len(expected)
+        assert np.array_equal(np.array(values).view(np.int64), np.array(expected).view(np.int64))
+
+
+def test_axis_bound_is_checked_before_enumeration(tmp_path):
+    out_csv = tmp_path / "x.csv"
+    err = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["scan", "T3.1", "--axis", "sigma=0:1e300:1e290", "--out", str(out_csv)])
+    elapsed = time.perf_counter() - t0
+    assert (code, err.getvalue()) == (2, "error: axis sigma has more than 1000000 values\n")
+    assert elapsed < 0.1, elapsed  # enumerating the first 10^6 values takes about 0.5 s
+    assert not out_csv.exists()
+
+
 def test_config_file_merge_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 1,1,1,1\nz = 1,0  # trailing comment\n", encoding="utf-8")
@@ -307,6 +366,44 @@ def test_render_convolved_curve_is_finite(tmp_path):
     )
     assert run.returncode == 0
     assert out_svg.exists() and out_svg.stat().st_size > 0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "a,2,1e308,0\na,3,1e308,0\n",  # the inverse FFT overflows to inf
+        "a,2,1.5e308,0\n",  # finite values, but the viewport's width overflows
+    ],
+)
+def test_render_overflow_exits_3(tmp_path, rows):
+    coeffs, out_svg = tmp_path / "huge.csv", tmp_path / "huge.svg"
+    coeffs.write_text("part,n,re,im\n" + rows, encoding="utf-8")
+    out = run_cli("render", "--f", f"file:{coeffs}", "--radii", "0.99", "--out", str(out_svg))
+    assert out.returncode == 3, out.stderr[-300:]
+    assert out.stdout == "" and out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "overflow" in out.stderr and "Warning" not in out.stderr
+    assert not out_svg.exists()
+
+
+def _special_curve(rng, n):
+    """n complex points whose parts mix +-0.0, subnormals, 1e-300 and values near 1e300."""
+    special = np.array([0.0, -0.0, 5e-324, -2.2e-310, 1e-300, -1e-300, 9.99e299, -1e300, 1.0, -0.5])
+    parts = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-5, 5, size=(2, n))
+    mask = rng.random((2, n)) < 0.3
+    parts[mask] = rng.choice(special, size=mask.sum())
+    return parts[0] + 1j * parts[1]
+
+
+@pytest.mark.parametrize("radii, points", [(2, 64), (3, 512), (4, 4096), (2, 4096)])
+def test_svg_polylines_keep_their_bytes(radii, points):
+    rng = np.random.default_rng(radii * points)
+    curves = [_special_curve(rng, points) for _ in range(radii)]
+    curves[0][:2] = [0.0, complex(-0.0, -0.0)]  # imaginary 0.0 writes y = -0, and -0.0 writes 0
+    svg = curves_to_svg(curves, 800, 600)
+    # The per-point formatting the one-call-per-curve writer replaced.
+    expected = [" ".join(f"{p.real:.12g},{-p.imag:.12g}" for p in np.concatenate([c, c[:1]])) for c in curves]
+    assert re.findall(r'points="([^"]*)"', svg) == expected
+    assert expected[0].startswith("0,-0 -0,0 ")
 
 
 def test_verify_identity_consistent():
@@ -514,6 +611,76 @@ def test_verify_counterexample_lines():
     assert out.returncode == 0, out.stderr[-300:]
     assert out.stdout.count(": VACUOUS (as_derived ") == 5
     assert out.stdout.endswith("verdicts: 0 consistent, 5 vacuous, 0 counterexample\n")
+
+
+# ------------------------------ the parser, built once ------------------------------
+
+_PARSER_ARGVS = [
+    ["scan", "T3.1", "--axis", "sigma=0:0.5:0.25", "--axis", "order=0:1:1", "--fix", "beta1=2",
+     "--fix", "b1=0.1", "--out", "a.csv"],
+    ["scan", "T4.2", "--axis=b1=0:1:1", "--out", "b.csv"],  # fewer appends than the argv before
+    ["scan", "T9.9", "--axis", "sigma=0:1:1"],  # usage error: unknown identifier
+    ["scan", "C1", "--out", "c.csv"],  # no --axis right after an error
+    ["check", "T5.3", "--p1", "1,3,1,3", "--show-config", "--gate", "stated"],
+    ["check", "--p1", "1,1,1,1"],  # usage error: no identifier
+    ["verify", "R1", "--p1", "2,1,2,1", "--f", "random", "--count", "3", "--config", "x.cfg"],
+    ["eval", "--p", "1,1,1,1", "--z=0.5,0", "--seed", "4"],
+    ["eval", "--bogus", "1"],  # usage error: unknown option
+    ["derivs", "--p", "2,1,2,1", "--ctrl-tol", "1e-10", "--ctrl-max-terms", "50"],
+    ["render", "--radii", "0.5", "--out", "r.svg", "--show-config"],
+    ["frobnicate"],  # usage error: unknown command
+    ["render", "--out", "s.svg"],
+    *([cmd, theorem] for cmd in ("check", "scan", "verify") for theorem in THEOREM_IDS),
+]
+
+
+def _parsed(parser, argv):
+    """vars() of the namespace, or the exit code of a usage error."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_reused_parser_matches_a_fresh_one(capsys):
+    for argv in _PARSER_ARGVS:
+        assert _parsed(_build_parser(), argv) == _parsed(_build_parser.__wrapped__(), argv), argv
+    assert _build_parser() is _build_parser()
+    capsys.readouterr()  # the usage errors' messages
+
+
+def test_in_process_scans_keep_their_own_axes(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["scan", "T3.1", "--axis", "sigma=0:0.5:0.25", "--axis", "beta1=1:2:1",
+                     "--fix", "order=0.1", "--out", str(first)]) == 0
+        with pytest.raises(SystemExit):
+            main(["scan", "T3.1", "--axis"])  # --axis without its value
+        assert main(["scan", "T3.1", "--axis", "alpha2=1:3:1", "--out", str(second)]) == 0
+    header, *rows = (line.split(",") for line in first.read_text(encoding="utf-8").splitlines())
+    assert [(r[header.index("sigma")], r[header.index("beta1")], r[header.index("order")]) for r in rows] == [
+        (s, b, "0.10000000000000001") for s in ("0", "0.25", "0.5") for b in ("1", "2")]
+    header, *rows = (line.split(",") for line in second.read_text(encoding="utf-8").splitlines())
+    assert [r[header.index("alpha2")] for r in rows] == ["1", "2", "3"]
+    assert {(r[header.index("sigma")], r[header.index("beta1")], r[header.index("order")]) for r in rows} == {
+        ("0", "1", "0")}
+    # The same bytes as a fresh process writes.
+    fresh = tmp_path / "fresh.csv"
+    assert run_cli("scan", "T3.1", "--axis", "alpha2=1:3:1", "--out", str(fresh)).returncode == 0
+    assert fresh.read_bytes() == second.read_bytes()
+
+
+def test_import_does_not_build_the_parser():
+    probe = (
+        "import contextlib, io, wrightmaps.cli as cli\n"
+        "before = cli._build_parser.cache_info()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['derivs', '--p', '1,1,1,1']), cli.main(['eval', '--p', '1,1,1,1'])]\n"
+        "after = cli._build_parser.cache_info()\n"
+        "print(before.misses, before.currsize, codes, after.misses, after.hits)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "0 0 [0, 0] 1 1\n", "")
 
 
 # ------------------------- robustness property of main -------------------------
