@@ -31,6 +31,7 @@ from .mappings import (
     ConvolutionSpec,
     ImageCoefficients,
     convolve,
+    convolve_each,
     random_coefficients,
 )
 from .oracle import SampleGrid, sweep
@@ -323,8 +324,9 @@ def _param_setting(text: str, flag: str, form: str):
     return name, rest
 
 
-def _parse_axis(text: str):
-    """'name=start:stop:step' -> (name, [start + k*step for k = 0, 1, ... up to stop])."""
+def _axis_range(text: str):
+    """'name=start:stop:step' -> (name, start, step, count): the axis holds start + k*step
+    for every k < count, the values up to stop + 1e-12 max(1, step)."""
     name, spec = _param_setting(text, "axis", "name=start:stop:step")
     parts = spec.split(":")
     if len(parts) != 3:
@@ -333,16 +335,26 @@ def _parse_axis(text: str):
     if step <= 0:
         raise DomainError(f"axis step must be > 0, got {step}")
     limit = stop + 1e-12 * max(1.0, abs(step))
-    # start + k*step rounds monotonically in k, so the axis holds more than
-    # _MAX_POINTS values exactly when its value at k = _MAX_POINTS is in range.
+    # start + k*step rounds monotonically in k, so the values in range are those
+    # before the first k out of range, found by bisection.
     if start + _MAX_POINTS * step <= limit:
         raise DomainError(f"axis {name} has more than {_MAX_POINTS} values")
-    values = []
-    while start + len(values) * step <= limit:
-        values.append(start + len(values) * step)
-    if not values:
+    count, out = 0, _MAX_POINTS  # the first k out of range is in [count, out]
+    while count < out:
+        k = (count + out) // 2
+        if start + k * step <= limit:
+            count = k + 1
+        else:
+            out = k
+    if not count:
         raise DomainError(f"axis produced no values (start={start}, stop={stop}, step={step})")
-    return name, values
+    return name, start, step, count
+
+
+def _parse_axis(text: str):
+    """'name=start:stop:step' -> (name, array of start + k*step for k = 0, 1, ... up to stop)."""
+    name, start, step, count = _axis_range(text)
+    return name, start + np.arange(count) * step  # the bits of start + k*step
 
 
 def _csv_column(values):
@@ -358,11 +370,11 @@ def _cmd_scan(theorem: str, opts) -> int:
     for text in opts["fix"]:
         name, value = _param_setting(text, "fix", "name=value")
         grid[name] = _parse_float(value, name)
-    axes = [_parse_axis(text) for text in opts["axis"]]
-    shape = [len(values) for _, values in axes]
+    shape = [_axis_range(text)[-1] for text in opts["axis"]]
     if math.prod(shape) > _MAX_POINTS:
         raise DomainError(f"scan grid has {math.prod(shape)} points, more than {_MAX_POINTS}")
     ctrl = _ctrl(opts)
+    axes = [_parse_axis(text) for text in opts["axis"]]
     for k, (name, values) in enumerate(axes):  # a later axis over the same name wins
         grid[name] = np.reshape(values, [-1 if j == k else 1 for j in range(len(axes))])
     # Every parameter's value at every point, the first axis varying slowest.
@@ -420,11 +432,15 @@ def _cmd_verify(theorem: str, opts) -> int:
     ctrl = _ctrl(opts)
     grid = SampleGrid(*_circle_grid(opts))
     counts = {"CONSISTENT": 0, "VACUOUS": 0, "COUNTEREXAMPLE": 0}
-    quantity = THEOREMS[theorem].quantity
-    for k, f in enumerate(_mapping_sources(opts)):
-        img = convolve(f, spec)
-        b1_eff = abs(img.g[1]) if img.g.size > 1 else 0.0
-        gated = stated_hypothesis(theorem, spec, order, b1_eff, ctrl)[gate]
+    route = THEOREMS[theorem]
+    quantity = route.quantity
+    gated = gated_b1 = None
+    for k, img in enumerate(convolve_each(_mapping_sources(opts), spec)):
+        # Only T5.1 and T5.4 read |B_1|, each mapping its own; the others pass 0, so
+        # their report is evaluated at the first mapping and kept for the rest.
+        b1 = abs(img.g[1]) if route.uses_b1 and img.g.size > 1 else 0.0
+        if gated is None or b1 != gated_b1:
+            gated, gated_b1 = stated_hypothesis(theorem, spec, order, b1, ctrl)[gate], b1
         if not gated.satisfied:
             counts["VACUOUS"] += 1
             print(f"f[{k}]: VACUOUS ({gated.form} lhs={_fmt(gated.lhs)} > rhs={_fmt(gated.rhs)})")

@@ -106,9 +106,23 @@ def identity_image() -> ImageCoefficients:
 
 def convolve(f: CoefficientSeq, spec: ConvolutionSpec) -> ImageCoefficients:
     """Coefficientwise products: ha[n] = c_n(p1) A_n, gb[n] = sigma c_n(p2) B_n."""
-    ha = norm_coeffs(spec.p1, 1 + f.a.size)[1:] * f.a
-    gb = spec.sigma * norm_coeffs(spec.p2, f.b.size) * f.b
-    return ImageCoefficients(ha, gb)
+    return next(convolve_each([f], spec))
+
+
+def convolve_each(fs, spec: ConvolutionSpec):
+    """convolve(f, spec) for each f of the iterable fs in turn, lazily.
+
+    Each kernel's coefficients are computed once per length and kept until the
+    generator is closed.
+    """
+    c1, c2 = {}, {}  # c_1, ..., c_n of p1 and of p2, by n
+    for f in fs:
+        n1, n2 = 1 + f.a.size, f.b.size
+        if n1 not in c1:
+            c1[n1] = norm_coeffs(spec.p1, n1)
+        if n2 not in c2:
+            c2[n2] = norm_coeffs(spec.p2, n2)
+        yield ImageCoefficients(c1[n1][1:] * f.a, spec.sigma * c2[n2] * f.b)
 
 
 def derivative(c, order: int = 1):

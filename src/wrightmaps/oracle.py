@@ -20,6 +20,7 @@ coefficient criterion alongside a clean sweep is a legitimate outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,23 +55,54 @@ class SampleGrid:
     def circle_values(self, a, b):
         """sum_k a_k z^k + conj(sum_k b_k z^k) at z = r e^{i theta_j}, one row per radius.
 
-        On equally spaced angles this is an inverse DFT: a_k r^k enters bin
-        k mod theta_count and conj(b_k) r^k bin -k mod theta_count (so a series
-        longer than theta_count folds onto the bins), and one inverse FFT over
-        the angle axis evaluates every radius.  The rounding error is of order
+        a and b are two series, or two stacks of as many series along a leading
+        axis; a stack gives one (radii, theta_count) block per series.  On equally
+        spaced angles this is an inverse DFT: a_k r^k enters bin k mod theta_count
+        and conj(b_k) r^k bin -k mod theta_count, and one inverse FFT over the
+        angle axis evaluates every radius of every series.  A series longer than
+        theta_count folds onto the bins one block of theta_count terms at a time,
+        so the arrays hold series x radii x theta_count values besides the
+        coefficients, whatever the series' length.  The rounding error is of order
         u log(theta_count) sum_k (|a_k| + |b_k|) r^k, with u the unit roundoff.
         """
+        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
         # A convolved image ends in exact zeros where c_n underflows; they add nothing.
-        a = np.trim_zeros(a, "b") if len(a) and a[-1] == 0 else a
-        b = np.trim_zeros(b, "b") if len(b) and b[-1] == 0 else b
+        len_a, len_b = _support(a), _support(b)
         n, r = self.theta_count, np.array(self.radii)[:, None]
-        size = n * max(1, -(-max(len(a), len(b)) // n))  # a multiple of n that holds both
-        k = np.arange(max(len(a), len(b)))
-        spectrum = np.zeros((r.size, size), dtype=complex)
-        spectrum[:, : len(a)] = a * r ** k[: len(a)]
-        spectrum[:, -k[: len(b)] % size] += np.conj(b) * r ** k[: len(b)]
-        folded = spectrum.reshape(r.size, -1, n).sum(axis=1)
-        return np.fft.ifft(folded, axis=1, norm="forward", out=folded)
+        size = n * max(1, -(-max(len_a, len_b) // n))  # a multiple of n that holds both
+        # From k = 1080 / -log2(r) on, r^k is below 2^-1080, 64 times below the least
+        # subnormal, so pow rounds it to 0; it takes pow about 15 times longer to say so.
+        zero_from = math.ceil(1080 / -math.log2(self.radii[-1]))
+        folded = np.zeros((*a.shape[:-1], r.size, n), dtype=complex)
+        for start in range(0, size, n):
+            # Later blocks are added in order, as summing the unfolded spectrum would.
+            block = np.zeros_like(folded) if start else folded
+            k = np.arange(start, min(start + n, len_a))
+            block[..., : k.size] = a[..., None, start : start + k.size] * _powers(r, k, zero_from)
+            # conj(b_k) r^k enters bin 0 for k = 0 and bin size - k for k >= 1.
+            k = np.arange(max(1, size - start - n + 1), min(len_b, size - start + 1))
+            if start == 0:
+                k = np.concatenate([np.arange(min(len_b, 1)), k])
+            block[..., -k % size - start] += np.conj(b[..., None, k]) * _powers(r, k, zero_from)
+            if start:
+                folded += block
+        return np.fft.ifft(folded, axis=-1, norm="forward", out=folded)
+
+
+def _powers(r, k, zero_from):
+    """r**k for ascending k, with 0.0 for every k >= zero_from, where pow is not called."""
+    live = np.searchsorted(k, zero_from)
+    if live == k.size:
+        return r**k
+    powers = np.zeros((r.size, k.size))
+    powers[:, :live] = r ** k[:live]
+    return powers
+
+
+def _support(c):
+    """1 + the last index k with some c[..., k] != 0, or 0 if every coefficient is 0."""
+    nonzero = np.atleast_2d(c).any(axis=0).nonzero()[0]
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
 @dataclass(frozen=True)
@@ -98,31 +130,43 @@ class OracleReport:
         return not self.violations
 
 
-def _ratio(num, den):
-    """(num / den, singular_mask), with den treated as zero below SINGULAR_EPS."""
+def _ratio(values):
+    """(values[0] / values[1], singular_mask), the quotient written over values[0].
+
+    A denominator below SINGULAR_EPS counts as a zero and is replaced by 1.
+    """
+    num, den = values
     singular = np.abs(den) < SINGULAR_EPS
-    return num / np.where(singular, 1.0, den), singular
+    den[singular] = 1
+    return np.divide(num, den, out=num), singular
 
 
 def _quantity_values(img: ImageCoefficients, quantity, values):
-    """(quantity, singular_mask) from values(a, b) = sum a_k z^k + conj(sum b_k z^k) at the sample points."""
+    """(quantity, singular_mask) from one call of values(a, b), which evaluates
+    sum a_k z^k + conj(sum b_k z^k) at the sample points for each series of the
+    stacks a and b."""
     h, g = img.h, img.g
     kh, kg = np.arange(h.size) * h, np.arange(g.size) * g  # z H', z S'
     if quantity == "jacobian_margin":
-        margin = np.abs(values(derivative(h), ())) - np.abs(values(derivative(g), ()))
-        return margin, np.zeros(np.shape(margin), dtype=bool)
+        derivs = np.zeros((2, max(h.size, g.size) - 1), dtype=complex)  # H', S'
+        derivs[0, : h.size - 1], derivs[1, : g.size - 1] = derivative(h), derivative(g)
+        hp, sp = np.abs(values(derivs, derivs[:, :0]))
+        return hp - sp, np.zeros(np.shape(hp), dtype=bool)
     if quantity == "dtheta_arg_f":
-        ratio, singular = _ratio(values(kh, -kg), values(h, g))
+        ratio, singular = _ratio(values(np.array([kh, h]), np.array([-kg, g])))
         return np.real(ratio), singular
     if quantity == "dtheta_arg_ftheta":
         k2h, k2g = np.arange(h.size) * kh, np.arange(g.size) * kg  # z H' + z^2 H'', z S' + z^2 S''
-        ratio, singular = _ratio(values(k2h, k2g), values(kh, -kg))
+        ratio, singular = _ratio(values(np.array([k2h, kh]), np.array([k2g, -kg])))
         return np.real(ratio), singular
     raise DomainError(f"unknown quantity {quantity!r}; known: {', '.join(QUANTITIES)}")
 
 
 def _scalar(img, pt, quantity):
-    value, singular = _quantity_values(img, quantity, lambda a, b: harmonic_sum(a, b, pt.z))
+    def at_point(a, b):  # a (series, 1) array, which _ratio can write to
+        return np.array([[harmonic_sum(x, y, pt.z)] for x, y in zip(a, b)])
+
+    [value], [singular] = _quantity_values(img, quantity, at_point)
     if singular:
         raise SingularPointError(f"{quantity} undefined at r={pt.r}, theta={pt.theta}")
     return float(value)
@@ -158,15 +202,19 @@ def sweep(img: ImageCoefficients, grid: SampleGrid, quantity: str, threshold: fl
     thetas = grid.thetas()
     vals, singular = _quantity_values(img, quantity, grid.circle_values)
     finite = np.isfinite(vals)
-    vals = np.where(singular | ~finite, -np.inf, vals)
+    failed = singular | ~finite
+    if failed.any():
+        vals = np.where(failed, -np.inf, vals)
+    least = np.unravel_index(np.argmin(vals), vals.shape)
+    # Some value is below the threshold exactly when the least one is.
+    below = np.argwhere(vals < threshold) if vals[least] < threshold else ()
     violations = [
         Violation(
             EvalPoint(grid.radii[i], float(thetas[j])),
             float(vals[i, j]),
             "singular" if singular[i, j] else "value" if finite[i, j] else "nonfinite",
         )
-        for i, j in np.argwhere(vals < threshold)
+        for i, j in below
     ]
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    argmin = EvalPoint(grid.radii[i], float(thetas[j]))
-    return OracleReport(quantity, float(vals[i, j]), argmin, violations, threshold)
+    argmin = EvalPoint(grid.radii[least[0]], float(thetas[least[1]]))
+    return OracleReport(quantity, float(vals[least]), argmin, violations, threshold)

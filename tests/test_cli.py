@@ -15,6 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import wrightmaps.criteria
+import wrightmaps.mappings
 from wrightmaps import THEOREM_IDS, ConvolutionSpec, WrightParams, identity_image, stated_hypothesis
 from wrightmaps.cli import (
     _build_parser,
@@ -252,6 +254,19 @@ def test_axis_bound_is_checked_before_enumeration(tmp_path):
     elapsed = time.perf_counter() - t0
     assert (code, err.getvalue()) == (2, "error: axis sigma has more than 1000000 values\n")
     assert elapsed < 0.1, elapsed  # enumerating the first 10^6 values takes about 0.5 s
+    assert not out_csv.exists()
+
+
+def test_scan_grid_size_is_checked_before_any_axis_is_enumerated(tmp_path):
+    out_csv = tmp_path / "x.csv"
+    err = io.StringIO()
+    argv = ["scan", "T3.1", "--axis", "sigma=0:999999:1", "--axis", "order=0:0.5:0.5", "--out", str(out_csv)]
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.perf_counter() - t0
+    assert (code, err.getvalue()) == (2, "error: scan grid has 2000000 points, more than 1000000\n")
+    assert elapsed < 0.05, elapsed  # enumerating the first axis value by value takes about 0.5 s
     assert not out_csv.exists()
 
 
@@ -540,6 +555,53 @@ def test_sizes_bounded_where_they_enter(tmp_path):
     out = run_cli_bounded(*verify, "--count", "3000000", "--ctrl-max-terms", "2")
     assert out.returncode == 3, out.stderr[-300:]
     assert "Traceback" not in out.stderr
+
+
+def test_render_long_series_within_memory(tmp_path):
+    # 100 radii x 10^6 coefficients: a whole spectrum would take 1.49 GiB of the child's 1 GiB.
+    out_svg = tmp_path / "long.svg"
+    radii = ",".join(f"{0.005 * k:g}" for k in range(1, 101))
+    argv = ["render", "--f", "random", "--nmax", "1000000", "--radii", radii, "--theta-count", "64"]
+    out = run_cli_bounded(*argv, "--out", str(out_svg))
+    assert out.returncode == 0, out.stderr[-300:]
+    polylines = [el for el in ET.parse(out_svg).getroot().iter() if el.tag.endswith("polyline")]
+    assert len(polylines) == 100 and all(len(p.attrib["points"].split()) == 65 for p in polylines)
+
+
+def test_verify_evaluates_each_kernel_once(monkeypatch):
+    calls = {}
+
+    def spy(module, name):
+        function = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(wrightmaps.mappings, "norm_coeffs")
+    spy(wrightmaps.criteria, "derivs_at_one")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "T3.1", "--p1", "2,1,2,1", "--f", "random", "--count", "10"])
+    assert code == 0
+    assert calls == {"norm_coeffs": 2, "derivs_at_one": 2}  # p1 and p2 once each, not per mapping
+
+
+def test_verify_gates_t51_on_each_mappings_own_b1():
+    # T5.1's condition reads |B_1|, so every mapping has its own hypothesis report.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "T5.1", "--p1", "2,1,2,1", "--sigma", "0.9", "--f", "random", "--count", "5"])
+    assert code == 1
+    assert out.getvalue() == (
+        "f[0]: VACUOUS (as_derived lhs=3.703792626734976 > rhs=1)\n"
+        "f[1]: COUNTEREXAMPLE close-to-convex probe L5[eps10] lhs=1.037824652915089 > 1\n"
+        "f[2]: VACUOUS (as_derived lhs=1.885156232906457 > rhs=1)\n"
+        "f[3]: VACUOUS (as_derived lhs=1.419566528411647 > rhs=1)\n"
+        "f[4]: VACUOUS (as_derived lhs=1.55109837565929 > rhs=1)\n"
+        "verdicts: 0 consistent, 4 vacuous, 1 counterexample\n"
+    )
 
 
 def test_verify_large_nmax_is_fast():

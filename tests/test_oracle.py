@@ -7,18 +7,23 @@ import pytest
 
 import wrightmaps
 from wrightmaps import (
+    ConvolutionSpec,
     DomainError,
     EvalPoint,
     ImageCoefficients,
     SampleGrid,
     SingularPointError,
+    WrightParams,
+    convolve,
     dtheta_arg_f,
     dtheta_arg_ftheta,
     eval_map,
     identity_image,
     jacobian_margin,
+    random_coefficients,
     sweep,
 )
+from wrightmaps.mappings import derivative
 
 
 def random_safe_image(rng, n=8, budget=0.9):
@@ -260,3 +265,105 @@ def test_sweep_violations_match_direct_sums():
         assert {v.kind for v in rep.violations} == {"value"}
         i, j = np.unravel_index(np.argmin(ref), ref.shape)
         assert (rep.argmin.r, rep.argmin.theta) == (grid.radii[i], 2 * np.pi * j / grid.theta_count)
+
+
+# ---------------------- bit-for-bit reference of the sweep ----------------------
+
+
+def reference_circle_values(grid, a, b):
+    """One series pair per call, the whole radii x series-length spectrum built, the
+    zero tails cut with np.trim_zeros and the blocks folded by a reshape-sum: the
+    circle evaluation the stacked, block-wise one must match bit for bit."""
+    a = np.trim_zeros(a, "b") if len(a) and a[-1] == 0 else a
+    b = np.trim_zeros(b, "b") if len(b) and b[-1] == 0 else b
+    n, r = grid.theta_count, np.array(grid.radii)[:, None]
+    size = n * max(1, -(-max(len(a), len(b)) // n))
+    k = np.arange(max(len(a), len(b)))
+    spectrum = np.zeros((r.size, size), dtype=complex)
+    spectrum[:, : len(a)] = a * r ** k[: len(a)]
+    spectrum[:, -k[: len(b)] % size] += np.conj(b) * r ** k[: len(b)]
+    folded = spectrum.reshape(r.size, -1, n).sum(axis=1)
+    return np.fft.ifft(folded, axis=1, norm="forward", out=folded)
+
+
+def reference_quantity_values(img, quantity, values):
+    """The quantities from two circle evaluations each, one per series pair."""
+    h, g = img.h, img.g
+    kh, kg = np.arange(h.size) * h, np.arange(g.size) * g
+
+    def ratio(num, den):
+        singular = np.abs(den) < wrightmaps.oracle.SINGULAR_EPS
+        return num / np.where(singular, 1.0, den), singular
+
+    if quantity == "jacobian_margin":
+        margin = np.abs(values(derivative(h), ())) - np.abs(values(derivative(g), ()))
+        return margin, np.zeros(np.shape(margin), dtype=bool)
+    if quantity == "dtheta_arg_f":
+        value, singular = ratio(values(kh, -kg), values(h, g))
+        return np.real(value), singular
+    k2h, k2g = np.arange(h.size) * kh, np.arange(g.size) * kg
+    value, singular = ratio(values(k2h, k2g), values(kh, -kg))
+    return np.real(value), singular
+
+
+def reference_sweep_bits(img, grid, quantity, threshold):
+    """(min, argmin, violations) of the reference sweep, every float as its hex digits."""
+    vals, singular = reference_quantity_values(img, quantity, lambda a, b: reference_circle_values(grid, a, b))
+    finite = np.isfinite(vals)
+    vals = np.where(singular | ~finite, -np.inf, vals)
+    thetas = grid.thetas()
+    violations = [
+        (grid.radii[i].hex(), float(thetas[j]).hex(), float(vals[i, j]).hex(),
+         "singular" if singular[i, j] else "value" if finite[i, j] else "nonfinite")
+        for i, j in np.argwhere(vals < threshold)
+    ]
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    return float(vals[i, j]).hex(), (grid.radii[i].hex(), float(thetas[j]).hex()), violations
+
+
+def sweep_bits(rep):
+    violations = [(v.point.r.hex(), v.point.theta.hex(), v.value.hex(), v.kind) for v in rep.violations]
+    return rep.min_value.hex(), (rep.argmin.r.hex(), rep.argmin.theta.hex()), violations
+
+
+def disk_image(rng, len_a, len_b, scale=1.0, zero_tail=(0, 0)):
+    """Coefficients from the disk of radius `scale`, each part ending in zero_tail exact zeros."""
+    parts = []
+    for size, zeros in zip((len_a, len_b), zero_tail):
+        c = scale * np.sqrt(rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
+        parts.append(np.concatenate([c, np.zeros(zeros, dtype=complex)]))
+    return ImageCoefficients(*parts)
+
+
+def bit_cases():
+    rng = np.random.default_rng(2024)
+    spec = ConvolutionSpec(WrightParams(2, 1, 2, 1), WrightParams(1.5, 1, 2, 1), 0.3 + 0.2j)
+    benchmark = SampleGrid((0.5, 0.9, 0.99), 4096)
+    for _ in range(3):  # the images verify sweeps: nmax 50, convolved
+        yield convolve(random_coefficients(rng, 50), spec), benchmark
+    yield disk_image(rng, 49, 50), benchmark  # unconvolved: large values, many violations
+    yield disk_image(rng, 199, 200, 0.3), SampleGrid((0.3, 0.9, 0.99), 64)  # folds
+    yield disk_image(rng, 4999, 5000, 0.05), SampleGrid((0.5, 0.9), 1024)
+    yield disk_image(rng, 2999, 3000, 0.05), SampleGrid((0.5, 0.99), 256)
+    yield disk_image(rng, 2999, 3000), SampleGrid((0.1, 0.5), 256)  # r^k underflows to 0
+    # Zero tails, of different lengths in the two parts and across a fold.
+    yield disk_image(rng, 30, 10, 0.2, zero_tail=(5, 100)), SampleGrid((0.5, 0.9), 64)
+    yield disk_image(rng, 300, 20, 0.05, zero_tail=(1, 400)), SampleGrid((0.5, 0.9), 128)
+    yield ImageCoefficients(np.zeros(3), np.zeros(70)), SampleGrid((0.5,), 64)
+    yield ImageCoefficients([2.0], []), SampleGrid((0.5,), 8)  # a singular point
+    yield ImageCoefficients([1e308, 1e308]), SampleGrid((0.5,), 64)  # overflows
+    yield ImageCoefficients([np.nan]), SampleGrid((0.5,), 64)
+
+
+@pytest.mark.parametrize("case", range(len(list(bit_cases()))))
+def test_sweep_matches_reference_bit_for_bit(case):
+    img, grid = list(bit_cases())[case]
+    with np.errstate(all="ignore"):
+        for a, b in ((img.h, img.g), (img.ha, img.gb), (img.h, ()), ((), img.g)):
+            assert grid.circle_values(a, b).tobytes() == reference_circle_values(grid, a, b).tobytes()
+        for quantity in ("dtheta_arg_f", "dtheta_arg_ftheta", "jacobian_margin"):
+            # inf harvests every value as a violation; the median puts half of them below.
+            harvest = sorted(float.fromhex(v[2]) for v in reference_sweep_bits(img, grid, quantity, np.inf)[2])
+            for threshold in (np.inf, 0.0, harvest[len(harvest) // 2], -np.inf):
+                expected = reference_sweep_bits(img, grid, quantity, threshold)
+                assert sweep_bits(sweep(img, grid, quantity, threshold)) == expected, (quantity, threshold)
