@@ -33,6 +33,7 @@ from .criteria import (
     FORM_STATED,
     THEOREM_IDS,
     class_bound_coeffs,
+    close_to_convex_lhs,
     close_to_convex_probe,
     default_epsilons,
     exact_image_criterion,

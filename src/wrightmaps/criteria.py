@@ -311,36 +311,54 @@ def exact_image_criterion(img: ImageCoefficients, order: float, target: str) -> 
     return _lemma_sum(target, np.abs(img.ha), np.abs(img.gb), order, power)
 
 
+def _unit_moduli(epsilons) -> np.ndarray:
+    """epsilons as a 1-D complex array; DomainError unless every |epsilon| is 1 (to 1e-12)."""
+    epsilons = np.atleast_1d(np.asarray(epsilons, dtype=complex))
+    if not np.all(np.abs(np.abs(epsilons) - 1) <= 1e-12):
+        raise DomainError(f"every |epsilon| must equal 1, got moduli {np.abs(epsilons)}")
+    return epsilons
+
+
+# 64 equally spaced unit-modulus probes plus +-1 and +-i, checked once; read-only,
+# since every probe without its own epsilons reads this one array.
+DEFAULT_EPSILONS = _unit_moduli(
+    np.concatenate([np.exp(2j * np.pi * np.arange(64) / 64), np.array([1, -1, 1j, -1j], dtype=complex)])
+)
+DEFAULT_EPSILONS.flags.writeable = False
+
+
 def default_epsilons() -> np.ndarray:
-    """64 equally spaced unit-modulus probes plus +-1 and +-i (68 values)."""
-    return np.concatenate(
-        [np.exp(2j * np.pi * np.arange(64) / 64), np.array([1, -1, 1j, -1j], dtype=complex)]
-    )
+    """A fresh copy of the 68 default probes: 64 equally spaced unit-modulus values plus +-1 and +-i."""
+    return DEFAULT_EPSILONS.copy()
 
 
-def close_to_convex_probe(img: ImageCoefficients, b1=None, epsilons=None):
-    """Starlike-range test of (H + eps*sigma*G)/(1 + eps*b1) per unit-modulus eps.
+def close_to_convex_lhs(img: ImageCoefficients, b1=None, epsilons=None) -> np.ndarray:
+    """Starlike-range lhs sum n|t_n| of (H + eps*sigma*G)/(1 + eps*b1) per unit-modulus eps.
 
-    b1 defaults to the image's own first co-analytic coefficient; one report
-    per epsilon, in input order.  The probe certifies close-to-convexity only
-    if every report passes.
+    One entry per epsilon, in input order (the 68 default probes if None); b1
+    defaults to the image's own first co-analytic coefficient.  The probe passes
+    at an epsilon when its entry is <= 1, so a NaN entry fails.
     """
     if b1 is None:
         b1 = img.g[1] if img.g.size > 1 else 0j
     b1 = complex(b1)
     if not abs(b1) < 1:
         raise DomainError(f"|b1| must be < 1, got {abs(b1)}")
-    if epsilons is None:
-        epsilons = default_epsilons()
-    epsilons = np.atleast_1d(np.asarray(epsilons, dtype=complex))
-    if not np.all(np.abs(np.abs(epsilons) - 1) <= 1e-12):
-        raise DomainError(f"every |epsilon| must equal 1, got moduli {np.abs(epsilons)}")
+    eps = (DEFAULT_EPSILONS if epsilons is None else _unit_moduli(epsilons))[:, None]
     size = max(img.h.size, img.g.size)
     h = np.zeros(size, dtype=complex)
     h[: img.h.size] = img.h
     g = np.zeros(size, dtype=complex)
     g[: img.g.size] = img.g
     # Row k holds |t_n| for epsilons[k]; |1 + eps*b1| >= 1 - |b1| > 0.
-    eps = epsilons[:, None]
     t_abs = np.abs((h[2:] + eps * g[2:]) / (1 + eps * b1))
-    return [_report(f"L5[eps{k}]", v, 1.0, FORM_EXACT) for k, v in enumerate(_starlike_range_lhs(t_abs))]
+    return _starlike_range_lhs(t_abs)
+
+
+def close_to_convex_probe(img: ImageCoefficients, b1=None, epsilons=None):
+    """close_to_convex_lhs as one L5[eps<k>] report per epsilon, in input order.
+
+    The probe certifies close-to-convexity only if every report passes.
+    """
+    lhs = close_to_convex_lhs(img, b1, epsilons)
+    return [_report(f"L5[eps{k}]", v, 1.0, FORM_EXACT) for k, v in enumerate(lhs)]

@@ -33,6 +33,9 @@ QUANTITIES = ("dtheta_arg_f", "dtheta_arg_ftheta", "jacobian_margin")
 # Below this magnitude a denominator counts as a zero: the point is singular.
 SINGULAR_EPS = 1e-13
 
+# Spectrum values a long series folds per step, past its first block (4 MiB of complex).
+_FOLD_VALUES = 1 << 18
+
 
 @dataclass(frozen=True)
 class SampleGrid:
@@ -60,9 +63,10 @@ class SampleGrid:
         spaced angles this is an inverse DFT: a_k r^k enters bin k mod theta_count
         and conj(b_k) r^k bin -k mod theta_count, and one inverse FFT over the
         angle axis evaluates every radius of every series.  A series longer than
-        theta_count folds onto the bins one block of theta_count terms at a time,
-        so the arrays hold series x radii x theta_count values besides the
-        coefficients, whatever the series' length.  The rounding error is of order
+        theta_count folds onto the bins block by block, as many blocks of
+        theta_count terms per step as _FOLD_VALUES values hold (at least one), so
+        no array it makes is larger than _FOLD_VALUES plus twice series x radii x
+        theta_count values, whatever the series' length.  The rounding error is of order
         u log(theta_count) sum_k (|a_k| + |b_k|) r^k, with u the unit roundoff.
         """
         a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
@@ -73,27 +77,45 @@ class SampleGrid:
         # From k = 1080 / -log2(r) on, r^k is below 2^-1080, 64 times below the least
         # subnormal, so pow rounds it to 0; it takes pow about 15 times longer to say so.
         zero_from = math.ceil(1080 / -math.log2(self.radii[-1]))
+
+        def fill(seg, start):
+            """Add the unfolded spectrum's entries start, start + 1, ... to the zeros of seg."""
+            stop = start + seg.shape[-1]
+            k = np.arange(start, min(stop, len_a))
+            seg[..., : k.size] = a[..., None, start : start + k.size] * _powers(r, k, zero_from)
+            # conj(b_k) r^k enters entry 0 for k = 0 and entry size - k for k >= 1, so
+            # the k >= 1 in range, lo <= k < hi, fill a slice of seg in descending order.
+            lo, hi = max(1, size - stop + 1), min(len_b, size - start + 1)
+            seg[..., size - start - hi + 1 : size - start - lo + 1][..., ::-1] += np.conj(
+                b[..., None, lo:hi]
+            ) * _powers(r, np.arange(lo, hi), zero_from)
+            if start == 0 and len_b:  # times r^0 like every other term, for the bits of 0 * inf
+                seg[..., :1] += np.conj(b[..., None, :1]) * r**0
+
         folded = np.zeros((*a.shape[:-1], r.size, n), dtype=complex)
-        for start in range(0, size, n):
-            # Later blocks are added in order, as summing the unfolded spectrum would.
-            block = np.zeros_like(folded) if start else folded
-            k = np.arange(start, min(start + n, len_a))
-            block[..., : k.size] = a[..., None, start : start + k.size] * _powers(r, k, zero_from)
-            # conj(b_k) r^k enters bin 0 for k = 0 and bin size - k for k >= 1.
-            k = np.arange(max(1, size - start - n + 1), min(len_b, size - start + 1))
-            if start == 0:
-                k = np.concatenate([np.arange(min(len_b, 1)), k])
-            block[..., -k % size - start] += np.conj(b[..., None, k]) * _powers(r, k, zero_from)
-            if start:
-                folded += block
+        fill(folded, 0)
+        # Later blocks, up to _FOLD_VALUES values of them at a time, go after the sum so
+        # far as rows, which are added in order, as summing the unfolded spectrum would.
+        step = n * max(1, _FOLD_VALUES // folded.size)
+        for start in range(n, size, step):
+            block = np.zeros((*folded.shape[:-1], n + min(step, size - start)), dtype=complex)
+            block[..., :n] = folded
+            fill(block[..., n:], start)
+            folded = block.reshape(*folded.shape[:-1], -1, n).sum(axis=-2)
         return np.fft.ifft(folded, axis=-1, norm="forward", out=folded)
 
 
 def _powers(r, k, zero_from):
-    """r**k for ascending k, with 0.0 for every k >= zero_from, where pow is not called."""
+    """r**k for ascending k, with 0.0 for every k >= zero_from, where pow is not called.
+
+    If every k is at least zero_from, one row of zeros stands for every radius, so
+    a product with it is formed once and broadcast.
+    """
     live = np.searchsorted(k, zero_from)
     if live == k.size:
         return r**k
+    if not live:
+        return np.zeros((1, k.size))
     powers = np.zeros((r.size, k.size))
     powers[:, :live] = r ** k[:live]
     return powers
@@ -117,7 +139,8 @@ class Violation:
 
 @dataclass
 class OracleReport:
-    """Sweep outcome: global minimum, its location, and all sub-threshold sites."""
+    """Sweep outcome: global minimum, its location, and the sub-threshold sites
+    (every one, unless the sweep was given a limit)."""
 
     quantity: str
     min_value: float
@@ -187,18 +210,23 @@ def jacobian_margin(img: ImageCoefficients, pt: EvalPoint) -> float:
     return _scalar(img, pt, "jacobian_margin")
 
 
-def sweep(img: ImageCoefficients, grid: SampleGrid, quantity: str, threshold: float) -> OracleReport:
+def sweep(
+    img: ImageCoefficients, grid: SampleGrid, quantity: str, threshold: float, limit: int | None = None
+) -> OracleReport:
     """Evaluate `quantity` on the whole grid; record minimum and sub-threshold sites.
 
     Singular points and non-finite values (NaN, or an overflow) are recorded as
     violations of kind 'singular' or 'nonfinite' with value -inf, never raised:
     a zero of f off the origin is itself a failure, and a value that is not a
     number cannot show that the inequality holds.  Violations are ordered
-    radius-major, then by angle.  A NaN threshold is a DomainError.
+    radius-major, then by angle; with a limit (at least 1) only the first
+    `limit` of them are built.  A NaN threshold is a DomainError.
     """
     threshold = float(threshold)
     if np.isnan(threshold):
         raise DomainError("threshold must not be NaN")
+    if limit is not None:
+        limit = check_integer(limit, 1, "limit")
     thetas = grid.thetas()
     vals, singular = _quantity_values(img, quantity, grid.circle_values)
     finite = np.isfinite(vals)
@@ -207,7 +235,7 @@ def sweep(img: ImageCoefficients, grid: SampleGrid, quantity: str, threshold: fl
         vals = np.where(failed, -np.inf, vals)
     least = np.unravel_index(np.argmin(vals), vals.shape)
     # Some value is below the threshold exactly when the least one is.
-    below = np.argwhere(vals < threshold) if vals[least] < threshold else ()
+    below = np.argwhere(vals < threshold)[:limit] if vals[least] < threshold else ()
     violations = [
         Violation(
             EvalPoint(grid.radii[i], float(thetas[j])),

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import wrightmaps.cli
 import wrightmaps.criteria
 import wrightmaps.mappings
+import wrightmaps.oracle
 from wrightmaps import THEOREM_IDS, ConvolutionSpec, WrightParams, identity_image, stated_hypothesis
 from wrightmaps.cli import (
     _build_parser,
@@ -602,6 +604,64 @@ def test_verify_gates_t51_on_each_mappings_own_b1():
         "f[4]: VACUOUS (as_derived lhs=1.55109837565929 > rhs=1)\n"
         "verdicts: 0 consistent, 4 vacuous, 1 counterexample\n"
     )
+
+
+# The failure line of the epsilon probe: with B_1 = 0, with B_1 != 0, and with an lhs
+# that overflows to inf (there 1 + sigma B_1 is about 1e-7).
+@pytest.mark.parametrize(
+    "rows, sigma, line",
+    [
+        ("a,2,300,0\na,4,0,2000\nb,2,-750,0\nb,3,1,-2\n", "0.4", "L5[eps11] lhs=1.071047489977755"),
+        ("a,2,1000,0\nb,1,0.5,0\nb,3,300,200\n", "0.4", "L5[eps0] lhs=2.893532712708157"),
+        ("a,2,1e308,0\nb,1,-0.9999999,0\n", "0.99999999", "L5[eps0] lhs=inf"),
+    ],
+)
+def test_verify_probe_failure_lines(tmp_path, rows, sigma, line):
+    coeffs = tmp_path / "f.csv"
+    coeffs.write_text("part,n,re,im\n" + rows, encoding="utf-8")
+    out = run_cli("verify", "T5.3", "--p1", "2,3,2,3", "--sigma", sigma, "--f", f"file:{coeffs}")
+    assert out.returncode == 1, out.stderr[-300:]
+    assert out.stdout == (
+        f"f[0]: COUNTEREXAMPLE close-to-convex probe {line} > 1\n"
+        "verdicts: 0 consistent, 0 vacuous, 1 counterexample\n"
+    )
+    assert "Traceback" not in out.stderr
+
+
+def test_verify_probe_counts_a_nan_lhs_as_a_counterexample(monkeypatch):
+    lhs = np.zeros(68)
+    lhs[[5, 9]] = np.nan, 2.0
+    monkeypatch.setattr(wrightmaps.cli, "close_to_convex_lhs", lambda img: lhs)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "T5.3", "--p1", "2,3,2,3", "--f", "classbound:CH0_family", "--nmax", "10"])
+    assert code == 1
+    assert out.getvalue().startswith("f[0]: COUNTEREXAMPLE close-to-convex probe L5[eps5] lhs=nan > 1\n")
+
+
+def test_verify_builds_one_violation_per_printed_line(monkeypatch):
+    built = []
+
+    class Counted(wrightmaps.oracle.Violation):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(wrightmaps.oracle, "Violation", Counted)
+    argv = "verify T3.2 --p1 2,1,2,1 --sigma 0.5 --order 0.6 --f random --count 5 --seed 1 --theta-count 256"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv.split(), "--gate", "stated"])
+    assert code == 1
+    assert out.getvalue() == (
+        "f[0]: COUNTEREXAMPLE dtheta_arg_f at r=0.5 theta=1.349903093339364 value=0.5934128862080766 (value)\n"
+        "f[1]: COUNTEREXAMPLE dtheta_arg_f at r=0.5 theta=1.055378782065321 value=0.5919249296160118 (value)\n"
+        "f[2]: COUNTEREXAMPLE dtheta_arg_f at r=0.5 theta=0.04908738521234052 value=0.5682831731338941 (value)\n"
+        "f[3]: COUNTEREXAMPLE dtheta_arg_f at r=0.5 theta=0.2699806186678728 value=0.595633534465332 (value)\n"
+        "f[4]: COUNTEREXAMPLE dtheta_arg_f at r=0.5 theta=1.006291396852981 value=0.5948695537103437 (value)\n"
+        "verdicts: 0 consistent, 0 vacuous, 5 counterexample\n"
+    )
+    assert len(built) == 5  # of the 1,385 sub-threshold sites the five sweeps find
 
 
 def test_verify_large_nmax_is_fast():

@@ -19,6 +19,7 @@ from wrightmaps import (
     THEOREM_IDS,
     WrightParams,
     class_bound_coeffs,
+    close_to_convex_lhs,
     close_to_convex_probe,
     convolve,
     default_epsilons,
@@ -37,6 +38,7 @@ from wrightmaps import (
     wright_eval,
 )
 from wrightmaps.cli import curves_to_svg, sample_boundary_curves
+from wrightmaps.criteria import DEFAULT_EPSILONS
 
 P1111 = WrightParams(1, 1, 1, 1)
 P2121 = WrightParams(2, 1, 2, 1)
@@ -375,3 +377,42 @@ def test_library_rejects_non_finite_inputs(call):
 def test_integer_arguments_name_their_own_bound(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def test_default_epsilons_returns_a_fresh_array():
+    img = ImageCoefficients([0.3, 0.1j], [0.2, 0.05])
+    before = close_to_convex_lhs(img)
+    expected = np.concatenate([np.exp(2j * np.pi * np.arange(64) / 64), [1, -1, 1j, -1j]])
+    eps = default_epsilons()
+    eps[:] = -1j  # still of unit modulus, so a probe reading it would accept it
+    assert default_epsilons().tobytes() == expected.tobytes()
+    assert close_to_convex_lhs(img).tobytes() == before.tobytes()
+    assert [r.lhs for r in close_to_convex_probe(img)] == before.tolist()
+    with pytest.raises(ValueError):
+        DEFAULT_EPSILONS[0] = 1
+
+
+def test_close_to_convex_probe_reports_carry_the_lhs_array():
+    rng = np.random.default_rng(9)
+    cases = [(ImageCoefficients(), None, None), (ImageCoefficients([np.nan]), None, None)]
+    for k in range(40):
+        f = random_coefficients(rng, 2 + k % 30)
+        sigma = 0.95 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        img = convolve(f, ConvolutionSpec(P2121, WrightParams(*rng.uniform(0.5, 3, 4)), sigma))
+        cases.append((img, None, None))
+        cases.append((img, 0.9 * rng.random() * np.exp(2j * np.pi * rng.random()), np.exp(2j * rng.random(5))))
+    for img, b1, epsilons in cases:
+        lhs = close_to_convex_lhs(img, b1, epsilons)
+        reports = close_to_convex_probe(img, b1, epsilons)
+        assert [r.id for r in reports] == [f"L5[eps{k}]" for k in range(lhs.size)]
+        assert np.array([r.lhs for r in reports]).tobytes() == lhs.tobytes()
+        assert [r.satisfied for r in reports] == (lhs <= 1).tolist()  # NaN fails
+        assert np.array([r.margin for r in reports]).tobytes() == (1.0 - lhs).tobytes()
+        assert {(r.rhs, r.form) for r in reports} == {(1.0, FORM_EXACT)}
+    assert np.isnan(close_to_convex_lhs(ImageCoefficients([np.nan]))).all()
+
+
+@pytest.mark.parametrize("b1, epsilons", [(1.0, None), (NAN, None), (0.0, [0.5]), (0.0, [1, NAN])])
+def test_close_to_convex_lhs_validates_like_the_probe(b1, epsilons):
+    with pytest.raises(DomainError):
+        close_to_convex_lhs(ImageCoefficients([0.1], [0.5, 0.05]), b1, epsilons)

@@ -24,6 +24,7 @@ from wrightmaps import (
     sweep,
 )
 from wrightmaps.mappings import derivative
+from wrightmaps.oracle import QUANTITIES
 
 
 def random_safe_image(rng, n=8, budget=0.9):
@@ -367,3 +368,45 @@ def test_sweep_matches_reference_bit_for_bit(case):
             for threshold in (np.inf, 0.0, harvest[len(harvest) // 2], -np.inf):
                 expected = reference_sweep_bits(img, grid, quantity, threshold)
                 assert sweep_bits(sweep(img, grid, quantity, threshold)) == expected, (quantity, threshold)
+
+
+def long_dead_tail_cases():
+    """Series whose blocks past the first are mostly beyond the radii's zero powers,
+    with signed zeros, infinities and a NaN among those coefficients."""
+    rng = np.random.default_rng(77)
+    img = disk_image(rng, 3999, 4000, 0.2)
+    h, g = img.h.copy(), img.g.copy()
+    h[2500:2600], g[3000:3100] = -0.0, complex(-0.0, 0.0)
+    h[3001], g[2001], h[3500] = np.inf, complex(-np.inf, 1.0), np.nan
+    yield img, SampleGrid((0.1, 0.5), 64)
+    yield ImageCoefficients(h[2:], g[1:]), SampleGrid((0.1, 0.5), 64)
+    yield ImageCoefficients(-img.ha, img.gb[:7]), SampleGrid((0.1, 0.3, 0.5), 32)
+
+
+@pytest.mark.parametrize("fold_values", [1, 200, 5000])
+def test_folding_several_blocks_per_step_matches_reference_bit_for_bit(monkeypatch, fold_values):
+    # Few values per step force several steps, each of one or more blocks.
+    monkeypatch.setattr(wrightmaps.oracle, "_FOLD_VALUES", fold_values)
+    with np.errstate(all="ignore"):
+        for img, grid in [*bit_cases(), *long_dead_tail_cases()]:
+            for a, b in ((img.h, img.g), (img.ha, img.gb), (img.h, ()), ((), img.g)):
+                assert grid.circle_values(a, b).tobytes() == reference_circle_values(grid, a, b).tobytes()
+            stacked = grid.circle_values(np.array([img.h, 2 * img.h]), np.array([img.g, -img.g]))
+            assert stacked[0].tobytes() == reference_circle_values(grid, img.h, img.g).tobytes()
+            assert stacked[1].tobytes() == reference_circle_values(grid, 2 * img.h, -img.g).tobytes()
+
+
+def test_sweep_limit_keeps_the_first_violations():
+    img, grid = list(bit_cases())[3]  # unconvolved: many violations of every kind
+    with np.errstate(all="ignore"):
+        for quantity in QUANTITIES:
+            full = sweep(img, grid, quantity, np.inf)
+            assert len(full.violations) == 3 * 4096
+            for limit in (1, 2, 5000, 10**6):
+                rep = sweep(img, grid, quantity, np.inf, limit=limit)
+                assert rep.violations == full.violations[:limit]
+                assert (rep.min_value, rep.argmin, rep.clean) == (full.min_value, full.argmin, False)
+            assert sweep(img, grid, quantity, -np.inf, limit=1).clean
+    for limit in (0, 2.5, np.nan):
+        with pytest.raises(DomainError):
+            sweep(img, grid, "dtheta_arg_f", 0.0, limit=limit)
