@@ -22,6 +22,7 @@ criterion for the matching coefficient class.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,12 +288,9 @@ def hypothesis_columns(theorem_id: str, kernels1, kernels2, sigma, order, b1, ct
     ))  # row-major: row k's checks in the order the loop meets them
     stop = faults[0] // len(checked) if faults.size else n
     # Ids count up in order of first occurrence, so the kernels met before row stop are a prefix.
-    memo, values = {}, []
-    for p in kernels[: kernel_of[:stop].max(initial=-1) + 1]:
-        key = _kernel(route, p)
-        if key not in memo:
-            memo[key] = derivs_at_one(key, ctrl)
-        values.append(tuple(vars(memo[key]).values()))
+    met = kernels[: kernel_of[:stop].max(initial=-1) + 1]
+    derivs = functools.cache(lambda p: derivs_at_one(p, ctrl))  # by reduced quadruple
+    values = [tuple(vars(derivs(_kernel(route, p))).values()) for p in met]
     if faults.size:
         results, index = checked[faults[0] % len(checked)]
         raise results[index[stop]]

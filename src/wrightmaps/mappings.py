@@ -11,6 +11,7 @@ are exact finite sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,14 +116,10 @@ def convolve_each(fs, spec: ConvolutionSpec):
     Each kernel's coefficients are computed once per length and kept until the
     generator is closed.
     """
-    c1, c2 = {}, {}  # c_1, ..., c_n of p1 and of p2, by n
+    c1 = functools.cache(lambda n: norm_coeffs(spec.p1, n))  # [c_1, ..., c_n] of p1, by n
+    c2 = functools.cache(lambda n: norm_coeffs(spec.p2, n))
     for f in fs:
-        n1, n2 = 1 + f.a.size, f.b.size
-        if n1 not in c1:
-            c1[n1] = norm_coeffs(spec.p1, n1)
-        if n2 not in c2:
-            c2[n2] = norm_coeffs(spec.p2, n2)
-        yield ImageCoefficients(c1[n1][1:] * f.a, spec.sigma * c2[n2] * f.b)
+        yield ImageCoefficients(c1(1 + f.a.size)[1:] * f.a, spec.sigma * c2(f.b.size) * f.b)
 
 
 def derivative(c, order: int = 1):

@@ -485,6 +485,43 @@ def test_verify_rejects_non_finite_coefficient_file(tmp_path):
         read_coeff_csv(str(path))
 
 
+def test_coefficient_file_rejects_a_repeated_index(tmp_path, capsys):
+    path = tmp_path / "twice.csv"
+    for rows, part_index in (("a,2,0.5,0\nb,1,0.1,0\na,2,0.9,0\n", "'a'/2"), ("b,1,0.1,0\nb,1,0.1,0\n", "'b'/1")):
+        path.write_text("part,n,re,im\n" + rows, encoding="utf-8")
+        code = main(["verify", "T3.1", "--p1", "2,1,2,1", "--f", f"file:{path}"])
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {path}: repeated part/index {part_index}\n"))
+
+
+# numpy overflows inside verify: the outputs report the non-finite value (or the verdict
+# it gives) themselves, and numpy's warning, which names the installed file, stays off stderr.
+@pytest.mark.parametrize(
+    "rows, argv, code, stdout",
+    [
+        (
+            "a,2,1e308,0\nb,1,-0.9999999,0\n",
+            ["verify", "T5.3", "--p1", "2,3,2,3", "--sigma", "0.99999999"],
+            1,
+            "f[0]: COUNTEREXAMPLE close-to-convex probe L5[eps0] lhs=inf > 1\n"
+            "verdicts: 0 consistent, 0 vacuous, 1 counterexample\n",
+        ),
+        (
+            "a,2,1e308,0\na,3,1e308,0\n",
+            ["verify", "T3.1", "--p1", "0.5,0.1,0.5,0.1"],
+            0,
+            "f[0]: VACUOUS (as_derived lhs=925.1711753676184 > rhs=1)\n"
+            "verdicts: 0 consistent, 1 vacuous, 0 counterexample\n",
+        ),
+    ],
+    ids=["probe-divide", "convolve-multiply"],
+)
+def test_numpy_warnings_stay_off_stderr(tmp_path, rows, argv, code, stdout):
+    coeffs = tmp_path / "f.csv"
+    coeffs.write_text("part,n,re,im\n" + rows, encoding="utf-8")
+    out = run_cli(*argv, "--f", f"file:{coeffs}")
+    assert (out.returncode, out.stdout, out.stderr) == (code, stdout, "")
+
+
 def run_cli_bounded(*args, seconds=30, address_space=1 << 30):
     """run_cli in a child with a time and an address-space limit: a runaway fails, not hangs."""
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wrightmaps.criteria
 from wrightmaps import (
     ConvergenceError,
     ConvolutionSpec,
@@ -250,6 +251,42 @@ def test_hypothesis_columns_matches_point_by_point(tid, rows):
     assert np.array([[rep[:2] for rep in row] for row in got]).tobytes() == np.array(
         [[rep[:2] for rep in row] for row in expected]
     ).tobytes()
+
+
+def _spy_derivs_at_one(monkeypatch):
+    """The kernels criteria.derivs_at_one is called with, in order."""
+    calls = []
+    derivs_at_one = wrightmaps.criteria.derivs_at_one
+
+    def counted(p, *args, **kwargs):
+        calls.append(p)
+        return derivs_at_one(p, *args, **kwargs)
+
+    monkeypatch.setattr(wrightmaps.criteria, "derivs_at_one", counted)
+    return calls
+
+
+def test_hypothesis_columns_evaluates_each_reduced_kernel_once(monkeypatch):
+    calls = _spy_derivs_at_one(monkeypatch)
+    # Axes alpha1, gamma1, delta1 and alpha2; C1 sets gamma = delta = 1 on both sides.
+    alpha1, gamma1, delta1, alpha2 = (
+        a.ravel() for a in np.meshgrid([2.0, 3.0], [1.0, 2.0, 3.0], [0.5, 1.5], [2.0, 4.0], indexing="ij")
+    )
+    ones = np.ones_like(alpha1)
+    kernels1 = np.stack([alpha1, ones, gamma1, delta1], axis=1)
+    kernels2 = np.stack([alpha2, ones, 3 * ones, 2 * ones], axis=1)
+    zeros = np.zeros_like(alpha1)
+    hypothesis_columns("C1", kernels1, kernels2, zeros + 0.2, zeros, zeros)
+    assert calls == [WrightParams(2, 1, 1, 1), WrightParams(4, 1, 1, 1), WrightParams(3, 1, 1, 1)]
+
+
+def test_hypothesis_columns_evaluates_no_kernel_past_a_faulty_row(monkeypatch):
+    calls = _spy_derivs_at_one(monkeypatch)
+    kernels1 = [[2.0, 1.0, 2.0, 1.0], [4.0, 1.0, 2.0, 1.0]]
+    kernels2 = [[3.0, 1.0, 2.0, 1.0], [5.0, 1.0, 2.0, 1.0]]
+    with pytest.raises(DomainError, match="sigma"):
+        hypothesis_columns("T3.1", kernels1, kernels2, [0.5, 1.0], [0.0, 0.0], [0.0, 0.0])
+    assert calls == [WrightParams(2, 1, 2, 1), WrightParams(3, 1, 2, 1)]  # row 0's p1 and p2 only
 
 
 def test_exact_image_criterion_examples():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import wrightmaps.mappings
 from wrightmaps import (
     CoefficientSeq,
     ConvolutionSpec,
@@ -19,6 +20,7 @@ from wrightmaps import (
     norm_coeff,
     random_coefficients,
 )
+from wrightmaps.mappings import convolve_each
 
 P1111 = WrightParams(1, 1, 1, 1)
 
@@ -161,3 +163,25 @@ def test_coefficient_seq_rejects_non_finite():
     for a, b in (([np.nan], []), ([0.1, np.inf], [0.2]), ([], [0.1, complex(0, -np.inf)])):
         with pytest.raises(DomainError):
             CoefficientSeq(a, b)
+
+
+def test_convolve_each_computes_each_kernel_once_per_length_and_call(monkeypatch):
+    calls = []
+    norm_coeffs = wrightmaps.mappings.norm_coeffs
+
+    def counted(p, count):
+        calls.append((p, count))
+        return norm_coeffs(p, count)
+
+    monkeypatch.setattr(wrightmaps.mappings, "norm_coeffs", counted)
+    spec = ConvolutionSpec(WrightParams(2, 1, 2, 1), WrightParams(3, 0.5, 1, 2), 0.4 - 0.2j)
+    rng = np.random.default_rng(3)
+    fs = [random_coefficients(rng, n) for n in (5, 9, 5, 9)]  # lengths 5 and 9 on both sides
+    images = list(convolve_each(fs, spec))
+    assert calls == [(spec.p1, 5), (spec.p2, 5), (spec.p1, 9), (spec.p2, 9)]
+    again = list(convolve_each(fs, spec))
+    assert calls[4:] == calls[:4]  # a new generator starts with no coefficients
+    for f, img, img_again in zip(fs, images, again):
+        ref = convolve(f, spec)
+        for got in (img, img_again):
+            assert (got.h.tobytes(), got.g.tobytes()) == (ref.h.tobytes(), ref.g.tobytes())
