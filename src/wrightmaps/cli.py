@@ -23,6 +23,7 @@ from .criteria import (
     THEOREMS,
     class_bound_coeffs,
     close_to_convex_lhs,
+    gated_spec,
     hypothesis_columns,
     stated_hypothesis,
 )
@@ -329,7 +330,7 @@ def _param_setting(text: str, flag: str, form: str):
 
 def _axis_range(text: str):
     """'name=start:stop:step' -> (name, start, step, count): the axis holds start + k*step
-    for every k < count, the values up to stop + 1e-12 max(1, step)."""
+    for every k < count, the values up to stop + 1e-12 max(|start|, |stop|)."""
     name, spec = _param_setting(text, "axis", "name=start:stop:step")
     parts = spec.split(":")
     if len(parts) != 3:
@@ -337,7 +338,12 @@ def _axis_range(text: str):
     start, stop, step = (_parse_float(s, name) for s in parts)
     if step <= 0:
         raise DomainError(f"axis step must be > 0, got {step}")
-    limit = stop + 1e-12 * max(1.0, abs(step))
+    # start + k*step rounds relative to the axis's magnitude, and so does the slack past stop.
+    magnitude = max(abs(start), abs(stop))
+    spacing = math.ulp(magnitude)
+    if step < spacing:
+        raise DomainError(f"axis {name}: step {step} is below the float spacing {spacing} at its largest end")
+    limit = min(stop + 1e-12 * magnitude, sys.float_info.max)  # finite: an overflowed value is out
     # start + k*step rounds monotonically in k, so the values in range are those
     # before the first k out of range.
     count = bisect.bisect_right(range(_MAX_POINTS + 1), limit, key=lambda k: start + k * step)
@@ -424,12 +430,12 @@ def _circle_grid(opts):
 def _cmd_verify(theorem: str, opts) -> int:
     """criteria vs geometric oracle"""
     gate = _gate(opts)
-    spec = _conv_spec(opts)
+    route = THEOREMS[theorem]
+    spec = gated_spec(route, _conv_spec(opts))  # C1 and R1 gate on, so convolve with, gamma = delta = 1
     order = _parse_float(opts["order"], "order")
     ctrl = _ctrl(opts)
     grid = SampleGrid(*_circle_grid(opts))
     counts = {"CONSISTENT": 0, "VACUOUS": 0, "COUNTEREXAMPLE": 0}
-    route = THEOREMS[theorem]
     quantity = route.quantity
     # Only T5.1 and T5.4 read |B_1|, each mapping its own; the others pass 0, so one report serves all.
     reports = functools.lru_cache(maxsize=1)(lambda b1: stated_hypothesis(theorem, spec, order, b1, ctrl))
@@ -548,30 +554,77 @@ _COMMANDS = {
 }
 
 
-@functools.cache  # built on the first main() call, not at import; parse_args keeps no state
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    for key in (*_GLOBAL_DEFAULTS, "config"):
-        common.add_argument(f"--{key}")
-    common.add_argument("--show-config", action="store_true")
+class _Parser(argparse.ArgumentParser):
+    """The command-line parser, with a one-pass parse of plain command lines beside parse_args."""
 
-    parser = argparse.ArgumentParser(
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.plain_options = {}  # command -> {"--key": the Action storing it}, filled by _build_parser
+
+    def parse_plain(self, argv):
+        """parse_args(argv)'s namespace if argv reads
+        `<command> [<theorem>] (--<key> <value> | --<key>=<value> | --show-config)*`
+        with exact option names and no separate value starting with '-'; else None,
+        and parse_args decides (help, abbreviations, usage errors and every other form)."""
+        if not argv or argv[0] not in self.plain_options:
+            return None
+        cmd, *rest = argv
+        options = self.plain_options[cmd]
+        args = argparse.Namespace(command=cmd, **{a.dest: a.default for a in options.values()})
+        if cmd in _THEOREM_COMMANDS:
+            if not rest or rest[0] not in THEOREM_IDS:
+                return None
+            args.theorem = rest.pop(0)
+        tokens = iter(rest)
+        for token in tokens:
+            flag, eq, value = token.partition("=")
+            action = options.get(flag)
+            if action is None:
+                return None
+            if action.nargs == 0:  # --show-config, which takes no value
+                if eq:
+                    return None
+                value = action.const
+            elif not eq:
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+            elif value == "--":  # argparse drops this value and stores []
+                return None
+            if action.dest in _LIST_OPTIONS:
+                value = (getattr(args, action.dest) or []) + [value]
+            setattr(args, action.dest, value)
+        return args
+
+
+@functools.cache  # built on the first main() call, not at import; parse_args keeps no state
+def _build_parser() -> _Parser:
+    common = argparse.ArgumentParser(add_help=False)
+    shared = [common.add_argument(f"--{key}") for key in (*_GLOBAL_DEFAULTS, "config")]
+    shared.append(common.add_argument("--show-config", action="store_true"))
+
+    parser = _Parser(
         prog="wrightmaps",
         description="Wright-kernel harmonic mapping toolkit: evaluate, check, scan, verify, render.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
     for cmd, defaults in _CMD_DEFAULTS.items():
         p_cmd = sub.add_parser(cmd, parents=[common], help=_COMMANDS[cmd].__doc__)
         if cmd in _THEOREM_COMMANDS:
             p_cmd.add_argument("theorem", choices=THEOREM_IDS)
-        for key in defaults:
+        own = [
             p_cmd.add_argument(f"--{key}", action="append" if key in _LIST_OPTIONS else "store")
+            for key in defaults
+        ]
+        parser.plain_options[cmd] = {action.option_strings[0]: action for action in shared + own}
     return parser
 
 
 @np.errstate(all="ignore")  # every output reports its non-finite values itself
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args = parser.parse_plain(argv) or parser.parse_args(argv)
     cmd = args.command
     try:
         opts = _effective_options(cmd, args)

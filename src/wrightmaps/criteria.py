@@ -224,6 +224,11 @@ def _kernel(route: TheoremRoute, p: WrightParams) -> WrightParams:
     return WrightParams(p.alpha, p.beta, 1.0, 1.0) if route.reduces_to else p
 
 
+def gated_spec(route: TheoremRoute, spec: ConvolutionSpec) -> ConvolutionSpec:
+    """spec with the kernels the route's condition reads, the ones f is convolved with to check it."""
+    return ConvolutionSpec(_kernel(route, spec.p1), _kernel(route, spec.p2), spec.sigma)
+
+
 def stated_hypothesis(
     theorem_id: str,
     spec: ConvolutionSpec,
@@ -235,8 +240,9 @@ def stated_hypothesis(
     route = _route(theorem_id)
     order = _check_order(order)
     b = _check_b1(theorem_id, b1)
-    d1 = derivs_at_one(_kernel(route, spec.p1), ctrl)
-    d2 = derivs_at_one(_kernel(route, spec.p2), ctrl)
+    spec = gated_spec(route, spec)
+    d1 = derivs_at_one(spec.p1, ctrl)
+    d2 = derivs_at_one(spec.p2, ctrl)
     sl, sr, dl, dr = _formulas(route.reduces_to or theorem_id, d1, d2, abs(spec.sigma), order, b)
     return (
         _report(theorem_id, sl, sr, FORM_STATED),

@@ -2,13 +2,16 @@
 
 import contextlib
 import io
+import math
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,9 @@ import wrightmaps.mappings
 import wrightmaps.oracle
 from wrightmaps import THEOREM_IDS, ConvolutionSpec, WrightParams, identity_image, stated_hypothesis
 from wrightmaps.cli import (
+    _CMD_DEFAULTS,
+    _GLOBAL_DEFAULTS,
+    _THEOREM_COMMANDS,
     _build_parser,
     _csv_num,
     _parse_axis,
@@ -213,7 +219,11 @@ def test_scan_rejects_bad_specs(tmp_path):
 
 def _enumerated_axis(start, stop, step):
     """An axis's values by enumeration alone, raising DomainError past 10^6 values."""
-    limit = stop + 1e-12 * max(1.0, abs(step))
+    magnitude = max(abs(start), abs(stop))
+    spacing = math.ulp(magnitude)
+    if step < spacing:
+        raise DomainError(f"axis sigma: step {step} is below the float spacing {spacing} at its largest end")
+    limit = stop + 1e-12 * magnitude
     values = []
     while start + len(values) * step <= limit:
         values.append(start + len(values) * step)
@@ -230,7 +240,7 @@ def _enumerated_axis(start, stop, step):
         "0.5:0.5000004:4e-13",
         "0.1:0.7:0.1",
         "-0.0:0:1",
-        "1e20:1e20:1",  # 8193 equal values: start + k*step rounds back to start
+        "1e20:1e20:1",  # a step below the float spacing at 1e20: start + k*step rounds back to start
         "-1e308:1e308:1e303",  # k*step overflows before k reaches 10^6
     ],
 )
@@ -245,6 +255,23 @@ def test_axis_bound_matches_enumeration(spec):
         name, values = _parse_axis(f"sigma={spec}")
         assert name == "sigma" and len(values) == len(expected)
         assert np.array_equal(np.array(values).view(np.int64), np.array(expected).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "spec, values",
+    [
+        ("0:1e-15:1e-17", 101),  # the slack past stop scales with the axis, not with 1
+        ("0.5:0.5:1e-17", "step 1e-17 is below the float spacing 1.1102230246251565e-16"),
+        ("0:1.7976931348623157e308:1e303", 179770),  # no overflowed value counts
+    ],
+)
+def test_axis_stops_at_its_stop(spec, values):
+    if isinstance(values, str):
+        with pytest.raises(DomainError, match=values):
+            _parse_axis(f"sigma={spec}")
+    else:
+        _, axis = _parse_axis(f"sigma={spec}")
+        assert len(axis) == values and axis[-1] <= float(spec.split(":")[1])
 
 
 def test_axis_bound_is_checked_before_enumeration(tmp_path):
@@ -627,6 +654,40 @@ def test_verify_evaluates_each_kernel_once(monkeypatch):
     assert calls == {"norm_coeffs": 2, "derivs_at_one": 2}  # p1 and p2 once each, not per mapping
 
 
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_verify_convolves_the_kernels_the_gate_reads(monkeypatch, theorem):
+    seen = {"norm_coeffs": set(), "derivs_at_one": set()}
+
+    def spy(module, name):
+        function = getattr(module, name)
+
+        def recorded(p, *args):
+            seen[name].add(p)
+            return function(p, *args)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    spy(wrightmaps.mappings, "norm_coeffs")
+    spy(wrightmaps.criteria, "derivs_at_one")
+    argv = ["verify", theorem, "--p1", "1.5,1.2,0.8,1.3", "--p2", "1.8,2,2.1,1.9", "--sigma", "0.1,0",
+            "--f", "random", "--count", "2", "--nmax", "8", "--theta-count", "64"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    assert len(seen["derivs_at_one"]) == 2 and seen["norm_coeffs"] == seen["derivs_at_one"]
+
+
+def test_verify_c1_refutes_no_mapping_its_gate_did_not_admit():
+    # The gate reads the C1 kernels with gamma = delta = 1; convolving with the given
+    # (1.9960, 1.3787, 0.8208, 1.1137) instead gave f[0] a minimum just below the order.
+    argv = ("verify C1 --p1 1.9960,1.3787,0.8208,1.1137 --p2 1.8519,2.0840,2.0905,2.1145 "
+            "--sigma=-0.0025,-0.0038 --order 0.3 --f random --count 10 --seed 632578").split()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    assert out.getvalue().endswith("verdicts: 10 consistent, 0 vacuous, 0 counterexample\n")
+
+
 def test_verify_gates_t51_on_each_mappings_own_b1():
     # T5.1's condition reads |B_1|, so every mapping has its own hypothesis report.
     out = io.StringIO()
@@ -943,3 +1004,158 @@ def test_main_exits_with_a_documented_code(tmp_path, invocation):
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert code in range(5), argv
+
+
+# ---------------------- plain command lines, beside argparse ----------------------
+
+
+def _outcome(call, argv):
+    """(exit code, stdout, stderr) of call(argv), with a usage error's SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_IDS = "{T3.1,T3.2,T3.3,T4.1,T4.2,T4.3,T5.1,T5.2,T5.3,T5.4,C1,R1}"
+_TOP_USAGE = "usage: wrightmaps [-h] {eval,derivs,check,scan,verify,render} ...\n"
+_SCAN_USAGE = (
+    "usage: wrightmaps scan [-h] [--ctrl-max-terms CTRL_MAX_TERMS]\n"
+    "                       [--ctrl-tol CTRL_TOL] [--seed SEED] [--config CONFIG]\n"
+    "                       [--show-config] [--axis AXIS] [--fix FIX] [--out OUT]\n"
+    f"                       {_IDS}\n"
+)
+_CHECK_USAGE = (
+    "usage: wrightmaps check [-h] [--ctrl-max-terms CTRL_MAX_TERMS]\n"
+    "                        [--ctrl-tol CTRL_TOL] [--seed SEED] [--config CONFIG]\n"
+    "                        [--show-config] [--p1 P1] [--p2 P2] [--sigma SIGMA]\n"
+    "                        [--order ORDER] [--b1 B1] [--gate GATE]\n"
+    f"                        {_IDS}\n"
+)
+_VERIFY_USAGE = (
+    "usage: wrightmaps verify [-h] [--ctrl-max-terms CTRL_MAX_TERMS]\n"
+    "                         [--ctrl-tol CTRL_TOL] [--seed SEED] [--config CONFIG]\n"
+    "                         [--show-config] [--p1 P1] [--p2 P2] [--sigma SIGMA]\n"
+    "                         [--order ORDER] [--b1 B1] [--gate GATE] [--f F]\n"
+    "                         [--count COUNT] [--nmax NMAX] [--radii RADII]\n"
+    "                         [--theta-count THETA_COUNT]\n"
+    f"                         {_IDS}\n"
+)
+# (exit code, stdout, stderr) of main, recorded under Python 3.11 at 80 columns before the
+# plain parse existed: argparse's usage errors and help, which only argparse writes.
+_ARGPARSE_OUTPUT = {
+    "eval --bogus 1": (2, "", _TOP_USAGE + "wrightmaps: error: unrecognized arguments: --bogus 1\n"),
+    "scan T9.9": (2, "", _SCAN_USAGE + "wrightmaps scan: error: argument theorem: invalid choice: 'T9.9' "
+                  "(choose from 'T3.1', 'T3.2', 'T3.3', 'T4.1', 'T4.2', 'T4.3', 'T5.1', 'T5.2', 'T5.3', "
+                  "'T5.4', 'C1', 'R1')\n"),
+    "check --p1 1,1,1,1": (2, "", _CHECK_USAGE + "wrightmaps check: error: the following arguments are "
+                           "required: theorem\n"),
+    "frobnicate": (2, "", _TOP_USAGE + "wrightmaps: error: argument command: invalid choice: 'frobnicate' "
+                   "(choose from 'eval', 'derivs', 'check', 'scan', 'verify', 'render')\n"),
+    "scan T3.1 --axis": (2, "", _SCAN_USAGE + "wrightmaps scan: error: argument --axis: expected one argument\n"),
+    "verify T3.1 --sigma -0.5,0": (2, "", _VERIFY_USAGE + "wrightmaps verify: error: argument --sigma: "
+                                   "expected one argument\n"),
+    "verify -h": (0, _VERIFY_USAGE + f"\npositional arguments:\n  {_IDS}\n\noptions:\n"
+                  "  -h, --help            show this help message and exit\n"
+                  "  --ctrl-max-terms CTRL_MAX_TERMS\n  --ctrl-tol CTRL_TOL\n  --seed SEED\n"
+                  "  --config CONFIG\n  --show-config\n  --p1 P1\n  --p2 P2\n  --sigma SIGMA\n"
+                  "  --order ORDER\n  --b1 B1\n  --gate GATE\n  --f F\n  --count COUNT\n  --nmax NMAX\n"
+                  "  --radii RADII\n  --theta-count THETA_COUNT\n", ""),
+}
+
+
+@pytest.mark.parametrize("line", list(_ARGPARSE_OUTPUT))
+def test_main_keeps_argparse_usage_errors_and_help(monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = line.split()
+    assert _build_parser().parse_plain(argv) is None
+    got = _outcome(main, argv)
+    assert got == _outcome(_build_parser.__wrapped__().parse_args, argv)
+    if sys.version_info[:2] == (3, 11):  # argparse's wording differs between Python versions
+        assert got == _ARGPARSE_OUTPUT[line]
+
+
+@pytest.mark.parametrize(
+    "line, stdout",
+    [
+        ("check T3.1 --p1 2,1,2,1 --sig 0.1",  # an abbreviated option
+         "T3.1 as_stated: lhs=0.7497005401010617 rhs=1 margin=0.2502994598989383 satisfied=true\n"
+         "T3.1 as_derived: lhs=0.7497005401010617 rhs=1 margin=0.2502994598989383 satisfied=true\n"
+         "gate=derived result=pass\n"),
+        ("eval --p 1,1,1,1 --z -0.5",  # a separate value starting with '-'
+         "wright = 0.55913414441898,0\nnormalized = -0.27956707220949,0\n"),
+    ],
+)
+def test_argparse_still_parses_the_other_forms(line, stdout):
+    argv = line.split()
+    assert _build_parser().parse_plain(argv) is None
+    assert _outcome(main, argv) == (0, stdout, "")
+
+
+def _readme_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in readme.splitlines() if line.startswith("wrightmaps ")]
+    return [shlex.split(line.split("#")[0])[1:] for line in lines]
+
+
+def test_plain_command_lines_skip_argparse(monkeypatch, tmp_path, capsys):
+    valid = [argv for argv in _PARSER_ARGVS if isinstance(_parsed(_build_parser.__wrapped__(), argv), dict)]
+    examples = _readme_examples()
+    assert (len(valid), len(examples)) == (len(_PARSER_ARGVS) - 4, 6)
+    parser = _build_parser()
+
+    def refuse(argv):
+        raise AssertionError(f"argparse parsed {argv}")
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.chdir(tmp_path)  # the scan and render examples write their files here
+    for argv in valid + examples:
+        assert vars(parser.parse_plain(argv)) == _parsed(_build_parser.__wrapped__(), argv), argv
+        assert main(argv) in range(5)
+    capsys.readouterr()
+
+
+_OTHER_OPTIONS = st.sampled_from(["--sig", "--ord", "--ax", "--show", "--ctrl", "--c", "--th", "--he", "--help",
+                                   "--bogus", "--P1", "--width", "--z", "-p", "-h", "--", "-"])
+_VALUE = _mostly(st.sampled_from(["1,1,1,1", "0.5", "", "a b", "x=y", "sigma=0:1:0.5", "T3.1", "random", "-0.5=1"]),
+                 st.sampled_from(["-0.5", "-1e3", "--p", "-", "--", "-h"]))
+
+
+def _plain_tokens(keys):
+    """Option tokens four in five of the plain form, over options named `keys` four in five."""
+    option = _mostly(st.sampled_from([f"--{key}" for key in keys]), _OTHER_OPTIONS)
+    return _mostly(
+        st.one_of(
+            st.tuples(option, _VALUE).map(list),  # --key value
+            st.builds("{}={}".format, option, _VALUE).map(lambda token: [token]),  # --key=value
+            st.just(["--show-config"]),
+        ),
+        st.sampled_from(["--show-config=x", "--show-config=", "T3.1", "-0.5", "-h", "--", "-"]).map(
+            lambda token: [token]),
+    )
+
+
+_COMMAND_TOKENS = {cmd: _plain_tokens((*_GLOBAL_DEFAULTS, "config", *keys)) for cmd, keys in _CMD_DEFAULTS.items()}
+
+
+@st.composite
+def _command_lines(draw):
+    """argv of the plain form, or off it at one token or more."""
+    cmd = draw(_mostly(st.sampled_from(sorted(_CMD_DEFAULTS)), st.sampled_from(["frobnicate", "", "-h", "--p"])))
+    argv = [cmd]
+    if draw(_mostly(st.just(cmd in _THEOREM_COMMANDS), st.booleans())):
+        argv.append(draw(_mostly(st.sampled_from(THEOREM_IDS), st.sampled_from(["T9.9", "c1", "", "--p1"]))))
+    for chunk in draw(st.lists(_COMMAND_TOKENS.get(cmd, _COMMAND_TOKENS["eval"]), max_size=5)):
+        argv += chunk
+    return argv
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(_command_lines())
+def test_plain_parse_equals_argparse(argv):
+    plain = _build_parser().parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == _parsed(_build_parser(), argv), argv
