@@ -185,12 +185,17 @@ def _effective_options(cmd: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, all at string level."""
     table = dict(_GLOBAL_DEFAULTS)
     table.update(_CMD_DEFAULTS[cmd])
+    # argparse stores [] for --<key>=--, and appends [] for a repeatable option.
+    if args.config == []:
+        raise DomainError("--config: expected a value")
     if args.config:
         for key, value in load_config(args.config, set(table)).items():
             table[key] = [s.strip() for s in value.split(";")] if key in _LIST_OPTIONS else value
     for key in list(table):
         provided = getattr(args, key.replace("-", "_"), None)
-        if provided not in (None, []):
+        if provided == [] or key in _LIST_OPTIONS and provided and [] in provided:
+            raise DomainError(f"--{key}: expected a value")
+        if provided is not None:
             table[key] = provided
     missing = sorted(k for k, v in table.items() if v is None)
     if missing:

@@ -22,14 +22,13 @@ criterion for the matching coefficient class.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, check_integer
 from .mappings import ConvolutionSpec, ImageCoefficients, check_sigma
-from .wright import DEFAULT_CONTROL, DerivativeValues, SeriesControl, WrightParams, derivs_at_one
+from .wright import DEFAULT_CONTROL, DerivativeValues, SeriesControl, WrightParams, derivs_at_one, derivs_table
 
 FORM_STATED = "as_stated"
 FORM_DERIVED = "as_derived"
@@ -250,23 +249,11 @@ def stated_hypothesis(
     )
 
 
-def _per_distinct(fn, rows):
-    """fn(*row), or the DomainError it raises, once per distinct row of the 2-D `rows`.
-
-    Rows are compared bit for bit and results come in order of first occurrence;
-    also returns each row's index into the results.
-    """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    results = []
-    for row in rows[first[by_first]].tolist():
-        try:
-            results.append(fn(*row))
-        except DomainError as exc:
-            results.append(exc)
-    return results, np.argsort(by_first)[inverse]
+def _valid_params(kernels):
+    """Which (alpha, beta, gamma, delta) rows of an (n, 4) array WrightParams accepts."""
+    alpha, beta, gamma, delta = kernels.T
+    finite = np.isfinite(kernels).all(axis=1)
+    return finite & (alpha > 0) & (gamma > 0) & (beta >= 0) & (delta >= 0) & (beta + delta > 0)
 
 
 def hypothesis_columns(theorem_id: str, kernels1, kernels2, sigma, order, b1, ctrl=DEFAULT_CONTROL):
@@ -275,32 +262,43 @@ def hypothesis_columns(theorem_id: str, kernels1, kernels2, sigma, order, b1, ct
     kernels1 and kernels2 hold an (alpha, beta, gamma, delta) row per point, sigma,
     order and b1 a real value each.  Returns ((lhs, rhs, satisfied) as stated,
     (lhs, rhs, satisfied) as derived), arrays with the bits stated_hypothesis gives
-    point by point; derivs_at_one runs once per distinct kernel.  A faulty grid
-    raises the first error of the point-by-point loop: in each row in turn p1, p2,
-    sigma, order and b1 are checked, then the two kernels evaluated.
+    point by point.  The distinct reduced kernels are summed in one derivs_table
+    pass, and derivs_at_one runs only on the rows it flags.  A faulty grid raises
+    the first error of the point-by-point loop: in each row in turn p1, p2, sigma,
+    order and b1 are checked, then the two kernels evaluated.
     """
     route = _route(theorem_id)
     sigma, order, b1 = (np.asarray(column, dtype=float) for column in (sigma, order, b1))
     n = len(order)
     pairs = np.stack([np.asarray(kernels1, dtype=float), np.asarray(kernels2, dtype=float)], axis=1)
-    kernels, kernel_of = _per_distinct(WrightParams, pairs.reshape(2 * n, 4))  # p1, p2 of row 0, ...
-    kernel_of = kernel_of.reshape(n, 2)
-    scalar_checks = ((check_sigma, sigma), (_check_order, order), (lambda b: _check_b1(theorem_id, b), b1))
-    checked = [(kernels, kernel_of[:, 0]), (kernels, kernel_of[:, 1])] + [
-        _per_distinct(fn, column[:, None]) for fn, column in scalar_checks
-    ]
-    faults = np.flatnonzero(np.stack(
-        [np.array([isinstance(r, DomainError) for r in results])[index] for results, index in checked], axis=1
-    ))  # row-major: row k's checks in the order the loop meets them
-    stop = faults[0] // len(checked) if faults.size else n
-    # Ids count up in order of first occurrence, so the kernels met before row stop are a prefix.
-    met = kernels[: kernel_of[:stop].max(initial=-1) + 1]
-    derivs = functools.cache(lambda p: derivs_at_one(p, ctrl))  # by reduced quadruple
-    values = [tuple(vars(derivs(_kernel(route, p))).values()) for p in met]
-    if faults.size:
-        results, index = checked[faults[0] % len(checked)]
-        raise results[index[stop]]
-    table = np.reshape(values, (-1, 4))[kernel_of]  # (n, 2, 4): each row's p1 and p2 derivative values
+    valid = np.stack([
+        _valid_params(pairs[:, 0]),
+        _valid_params(pairs[:, 1]),
+        np.abs(sigma) < 1,
+        (0 <= order) & (order < 1),
+        (np.abs(b1) < 1) | (not route.uses_b1),
+    ], axis=1)  # the loop's checks of each row, in its order
+    faults = np.flatnonzero(~valid)  # row-major, as the loop meets them
+    stop = faults[0] // valid.shape[1] if faults.size else n
+    rows = pairs[:stop].reshape(2 * stop, 4)  # p1, p2 of row 0, ...
+    if route.reduces_to:
+        rows = np.concatenate([rows[:, :2], np.ones((2 * stop, 2))], axis=1)  # gamma = delta = 1
+    keys = rows.view(np.dtype((np.void, rows.itemsize * 4))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    kernels = rows[first[by_first]]  # in order of first occurrence
+    table = derivs_table(kernels, ctrl)
+    for k in np.flatnonzero(np.isnan(table[:, 0])).tolist():  # the first that raises is the loop's error
+        table[k] = tuple(vars(derivs_at_one(WrightParams(*kernels[k].tolist()), ctrl)).values())
+    if faults.size:  # the scalar check raises the loop's error, in its words
+        (
+            lambda: WrightParams(*pairs[stop, 0].tolist()),
+            lambda: WrightParams(*pairs[stop, 1].tolist()),
+            lambda: check_sigma(float(sigma[stop])),
+            lambda: _check_order(float(order[stop])),
+            lambda: _check_b1(theorem_id, float(b1[stop])),
+        )[faults[0] % valid.shape[1]]()
+    table = table[np.argsort(by_first)[inverse].reshape(n, 2)]  # (n, 2, 4): each row's p1 and p2 values
     d1, d2 = (DerivativeValues(*table[:, side].T) for side in (0, 1))
     with np.errstate(all="ignore"):  # overflow and nan pass silently, as in float arithmetic
         sl, sr, dl, dr = _formulas(route.reduces_to or theorem_id, d1, d2, np.abs(sigma), order, np.abs(b1))

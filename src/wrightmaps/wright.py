@@ -200,3 +200,79 @@ def derivs_at_one(p: WrightParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> Der
     if not w1 + wp1 + wpp1 + wppp1 < math.inf:  # one test for all four positive sums
         raise ConvergenceError(f"derivative sums overflow the float range for {p}")
     return DerivativeValues(w1, wp1, wpp1, wppp1)
+
+
+# derivs_table flags a term whose exp argument or log-gamma argument reaches these,
+# below where math.exp (709.78) and math.lgamma (about 2.5e305) overflow.
+_EXP_FLAG = 709.0
+_LGAMMA_FLAG = 1e300
+# Rows x terms of one derivs_table step, unless its rows alone are more: this
+# bounds the memory of its term arrays.
+_STEP_ELEMENTS = 1 << 14
+
+
+def _log_gammas(args: np.ndarray) -> np.ndarray:
+    """log Gamma of every element by _terms' expression, and NaN from _LGAMMA_FLAG up."""
+    log, gamma, lgamma, lo, hi, top = math.log, math.gamma, math.lgamma, _GAMMA_LO, _GAMMA_HI, _LGAMMA_FLAG
+    values = [
+        log(gamma(a)) if lo < a < hi else lgamma(a) if a < top else math.nan for a in args.ravel().tolist()
+    ]
+    return np.array(values).reshape(args.shape)
+
+
+@np.errstate(all="ignore")  # overflow marks a row, and never reaches the caller as a warning
+def derivs_table(rows, ctrl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
+    """derivs_at_one of each valid (alpha, beta, gamma, delta) row, as a (K, 4) array.
+
+    Row k holds W(1), W'(1), W''(1), W'''(1) with derivs_at_one's bits: the same
+    terms, the same stop rule and sums in the same order.  The terms of all rows
+    advance together; each distinct half (alpha, beta) or (gamma, delta) gets its
+    log-gamma values once.  A row is NaN where derivs_at_one might raise: an exp
+    argument of at least _EXP_FLAG, a log-gamma argument of at least _LGAMMA_FLAG,
+    sums that are not finite, or a term budget run out.
+    """
+    rows = np.asarray(rows, dtype=float).reshape(-1, 4)
+    halves = np.ascontiguousarray(rows.reshape(-1, 2))  # row k's (alpha, beta) at 2k, (gamma, delta) at 2k+1
+    keys = halves.view(np.dtype((np.void, 2 * halves.itemsize))).ravel()
+    _, first, half_of = np.unique(keys, return_index=True, return_inverse=True)
+    start, step = halves[first].T
+    half_of = half_of.reshape(-1, 2)
+    sums = np.zeros((len(rows), 4))
+    shift = np.zeros(len(rows))
+    prev = np.full(len(rows), math.nan)  # no ratio exists before the second term
+    flagged = np.zeros(len(rows), dtype=bool)
+    active = np.arange(len(rows))
+    k0, width, tol = 0, 8, ctrl.tail_tol
+    while active.size and k0 < ctrl.max_terms:
+        # 16, 32, ... terms: most kernels stop within the first step, and a slow one takes few steps.
+        width = min(2 * width, max(1, _STEP_ELEMENTS // active.size), ctrl.max_terms - k0)
+        n = range(k0 + 1, k0 + width + 1)  # n = k + 1 for the step's terms k
+        # The weights of the four sums and the stop rule: exact ints rounded once, as in derivs_at_one.
+        weights = np.array([[1, m, m * (m - 1), m * (m - 1) * (m - 2), m**3] for m in n], dtype=float).T
+        used = np.zeros(len(start), dtype=bool)
+        used[half_of[active]] = True
+        log_gammas = np.zeros((len(start), width))
+        log_gammas[used] = _log_gammas(start[used, None] + np.arange(k0, k0 + width) * step[used, None])
+        la, lg = log_gammas[half_of[active, 0]], log_gammas[half_of[active, 1]]
+        if not k0:
+            shift[active] = la[:, 0] + lg[:, 0]  # log(Gamma(alpha) Gamma(gamma))
+        x = shift[active, None] + 0.0 - la - lg
+        bad = ~(x < _EXP_FLAG)  # NaN too, which a log-gamma flag makes
+        terms = np.fromiter(map(math.exp, np.where(bad, -math.inf, x).ravel().tolist()), float, x.size)
+        terms = terms.reshape(x.shape)
+        weighted = weights[4] * terms
+        before = np.concatenate([prev[active, None], weighted[:, :-1]], axis=1)
+        stops = (weighted <= 0.5 * before) & (_TAIL_SAFETY * weighted <= tol)
+        stopped = stops.any(axis=1)
+        kept = np.arange(width) <= np.where(stopped, stops.argmax(axis=1), width)[:, None]
+        flagged[active] = (bad & kept).any(axis=1)
+        terms = np.where(kept, terms, 0.0)  # adding +0.0 leaves a nonnegative sum's bits
+        parts = np.concatenate([sums[active, :, None], weights[:4] * terms[:, None, :]], axis=2)
+        sums[active] = np.add.accumulate(parts, axis=2)[:, :, -1]  # one term at a time, as derivs_at_one adds
+        prev[active] = weighted[:, -1]
+        active = active[~stopped & ~flagged[active]]
+        k0 += width
+    flagged[active] = True  # the term budget ran out
+    flagged |= ~(sums[:, 0] + sums[:, 1] + sums[:, 2] + sums[:, 3] < math.inf)
+    sums[flagged] = math.nan
+    return sums

@@ -1,6 +1,7 @@
 """Command-line contract: output formats, config handling, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -155,6 +156,55 @@ def test_scan_rows_match_check(tmp_path, theorem):
             reports = stated_hypothesis(theorem, spec, v["order"], v["b1"])
             assert row[0] == theorem
             assert row[12:] == [s for r in reports for s in (_csv_num(r.lhs), _csv_num(r.rhs), str(r.satisfied).lower())]
+
+
+_FIX2 = ["--fix", "alpha2=1.7", "--fix", "beta2=1.1", "--fix", "gamma2=0.8", "--fix", "delta2=2.2"]
+
+
+# Benchmark-sized grids and the sha256 of their CSV, recorded when every kernel was
+# summed by derivs_at_one alone: an (alpha1, beta1) axis pair varies one kernel half,
+# (beta1, delta1) both, beta1 + delta1 = 0.2 needs about 330 terms, C1 reduces its
+# gamma1 axis away, and T5.4 reads its b1 axis.
+@pytest.mark.parametrize(
+    "argv, rows, digest",
+    [
+        (["T3.1", "--axis", "alpha1=0.5:2.45:0.05", "--axis", "beta1=0.6:2.1:0.05", "--fix", "gamma1=1.3",
+          "--fix", "delta1=0.9", *_FIX2, "--fix", "sigma=0.45", "--fix", "order=0.2"],
+         1240, "ea0f62b8771d2ea4caf633543eddef8ae14c23f217a1695d80f7fa63ee75dadd"),
+        (["T4.2", "--axis", "beta1=0.5:2:0.05", "--axis", "delta1=0.5:1.7:0.04", *_FIX2, "--fix", "sigma=0.3"],
+         961, "7fbb5253fe262f84a58848278a7502568d1ed3efbee4773e4badc6411d8a15b7"),
+        (["T3.3", "--fix", "beta1=0.08", "--fix", "delta1=0.12", "--axis", "alpha1=0.5:1.5:0.025",
+          "--axis", "sigma=0:0.6:0.025", *_FIX2],
+         1025, "5bb757a35ccd1fb00dc4ccc8a4f311a395a2ebb6154ad70c09d4fff1952af1a6"),
+        (["C1", "--axis", "gamma1=0.5:2.5:0.05", "--axis", "alpha2=0.6:1.8:0.04", "--fix", "sigma=0.2",
+          "--fix", "order=0.1"],
+         1271, "c1783f6265afa419c8085480619c93a692cd04bcc9da730b60e1cdeefac39191"),
+        (["T5.4", "--axis", "b1=0:0.85:0.025", "--axis", "alpha2=0.5:2:0.05", "--fix", "beta1=0.7"],
+         1085, "02828d1d1e2fd2d124ba95771ce9bf1ea1ce6c5ef956fee70d1297f9a43d10fa"),
+    ],
+)
+def test_scan_csv_bytes_are_pinned(tmp_path, argv, rows, digest):
+    out_csv = tmp_path / "grid.csv"
+    got = _outcome(main, ["scan", *argv, "--out", str(out_csv)])
+    assert got == (0, f"wrote {rows} rows to {out_csv}\n", "")
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["eval", "--p", "1,1,1,1", "--z=--"], "z"),
+        (["derivs", "--p", "1,1,1,1", "--ctrl-max-terms=--"], "ctrl-max-terms"),
+        (["check", "T3.1", "--p1", "1,1,1,1", "--sigma=--"], "sigma"),
+        (["scan", "T3.1", "--axis=--", "--axis", "sigma=0:0.5:0.5", "--out", "OUT"], "axis"),
+        (["eval", "--p", "1,1,1,1", "--config=--"], "config"),
+    ],
+)
+def test_a_dashdash_value_exits_2(tmp_path, argv, key):
+    # argparse stores [] for --<key>=--, which must not read as "not given".
+    argv = [str(tmp_path / "out.csv") if arg == "OUT" else arg for arg in argv]
+    assert _outcome(main, argv) == (2, "", f"error: --{key}: expected a value\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_ctrl_max_terms_is_bounded():

@@ -253,21 +253,27 @@ def test_hypothesis_columns_matches_point_by_point(tid, rows):
     ).tobytes()
 
 
-def _spy_derivs_at_one(monkeypatch):
-    """The kernels criteria.derivs_at_one is called with, in order."""
-    calls = []
-    derivs_at_one = wrightmaps.criteria.derivs_at_one
+def _spy_kernels(monkeypatch):
+    """The kernels handed to the batched criteria.derivs_table, in order, and those the
+    scalar criteria.derivs_at_one is called with."""
+    batched, scalar = [], []
+    derivs_table, derivs_at_one = wrightmaps.criteria.derivs_table, wrightmaps.criteria.derivs_at_one
 
-    def counted(p, *args, **kwargs):
-        calls.append(p)
+    def batch(rows, *args, **kwargs):
+        batched.extend(WrightParams(*row) for row in np.asarray(rows).tolist())
+        return derivs_table(rows, *args, **kwargs)
+
+    def single(p, *args, **kwargs):
+        scalar.append(p)
         return derivs_at_one(p, *args, **kwargs)
 
-    monkeypatch.setattr(wrightmaps.criteria, "derivs_at_one", counted)
-    return calls
+    monkeypatch.setattr(wrightmaps.criteria, "derivs_table", batch)
+    monkeypatch.setattr(wrightmaps.criteria, "derivs_at_one", single)
+    return batched, scalar
 
 
 def test_hypothesis_columns_evaluates_each_reduced_kernel_once(monkeypatch):
-    calls = _spy_derivs_at_one(monkeypatch)
+    batched, scalar = _spy_kernels(monkeypatch)
     # Axes alpha1, gamma1, delta1 and alpha2; C1 sets gamma = delta = 1 on both sides.
     alpha1, gamma1, delta1, alpha2 = (
         a.ravel() for a in np.meshgrid([2.0, 3.0], [1.0, 2.0, 3.0], [0.5, 1.5], [2.0, 4.0], indexing="ij")
@@ -277,16 +283,31 @@ def test_hypothesis_columns_evaluates_each_reduced_kernel_once(monkeypatch):
     kernels2 = np.stack([alpha2, ones, 3 * ones, 2 * ones], axis=1)
     zeros = np.zeros_like(alpha1)
     hypothesis_columns("C1", kernels1, kernels2, zeros + 0.2, zeros, zeros)
-    assert calls == [WrightParams(2, 1, 1, 1), WrightParams(4, 1, 1, 1), WrightParams(3, 1, 1, 1)]
+    assert batched == [WrightParams(2, 1, 1, 1), WrightParams(4, 1, 1, 1), WrightParams(3, 1, 1, 1)]
+    assert scalar == []  # no kernel of an all-valid grid is flagged
 
 
 def test_hypothesis_columns_evaluates_no_kernel_past_a_faulty_row(monkeypatch):
-    calls = _spy_derivs_at_one(monkeypatch)
+    batched, scalar = _spy_kernels(monkeypatch)
     kernels1 = [[2.0, 1.0, 2.0, 1.0], [4.0, 1.0, 2.0, 1.0]]
     kernels2 = [[3.0, 1.0, 2.0, 1.0], [5.0, 1.0, 2.0, 1.0]]
     with pytest.raises(DomainError, match="sigma"):
         hypothesis_columns("T3.1", kernels1, kernels2, [0.5, 1.0], [0.0, 0.0], [0.0, 0.0])
-    assert calls == [WrightParams(2, 1, 2, 1), WrightParams(3, 1, 2, 1)]  # row 0's p1 and p2 only
+    assert batched == [WrightParams(2, 1, 2, 1), WrightParams(3, 1, 2, 1)]  # row 0's p1 and p2 only
+    assert scalar == []
+
+
+def test_hypothesis_columns_takes_a_flagged_kernel_from_derivs_at_one(monkeypatch):
+    batched, scalar = _spy_kernels(monkeypatch)
+    # derivs_table flags this kernel (its first exp argument is 709.07); derivs_at_one sums it.
+    p = WrightParams(3.5e17, 1, 287.63, 1)
+    kernels1 = [[3.5e17, 1.0, 287.63, 1.0]] * 2
+    kernels2 = [[2.0, 1.0, 2.0, 1.0]] * 2
+    lhs, rhs, sat = hypothesis_columns("T3.1", kernels1, kernels2, [0.0, 0.5], [0.2] * 2, [0.0] * 2)[1]
+    assert (batched, scalar) == ([p, P2121], [p])
+    reports = [stated_hypothesis("T3.1", spec_of(p, P2121, s), 0.2)[1] for s in (0.0, 0.5)]
+    assert lhs.tobytes() == np.array([r.lhs for r in reports]).tobytes()
+    assert 1e307 < lhs[0] < np.inf and not sat.any()
 
 
 def test_exact_image_criterion_examples():

@@ -22,7 +22,7 @@ from wrightmaps import (
     normalized_eval,
     wright_eval,
 )
-from wrightmaps.wright import _terms
+from wrightmaps.wright import _terms, derivs_table
 
 # Frozen from a 50-digit direct series evaluation done ahead of the build.
 I0_AT_2 = 2.2795853023360673  # sum 1/(n!)^2
@@ -239,6 +239,47 @@ def test_overflow_raises_convergence_error(call):
         call()
 
 
+# Kernel halves (start, step) near the kernel's edges: log Gamma switching from
+# log(gamma) to lgamma at 12, Gamma(alpha) past the float range, a log-gamma
+# argument past the overflow flag, and steps too slow for small budgets.
+_HALF_STARTS = [1e-320, 1e-308, 0.02, 0.3, 11.9, 12.0, 12.1, 1e3, 1e306]
+_HALF_STEPS = [0.0, 0.05, 0.2, 0.5, 1.0, 3.0, 50.0]
+
+
+@st.composite
+def _kernels_sharing_halves(draw):
+    """(alpha, beta, gamma, delta) rows whose halves come from a pool of at most four."""
+    halves = st.tuples(st.sampled_from(_HALF_STARTS), st.sampled_from(_HALF_STEPS))
+    pool = draw(st.lists(halves, min_size=1, max_size=4))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), min_size=1, max_size=8))
+    return [[*first, *second] for first, second in pairs if first[1] + second[1] > 0]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_kernels_sharing_halves(), st.sampled_from([2, 60, 2000]), st.sampled_from([1e-14, 1e-6]))
+def test_derivs_table_matches_derivs_at_one_bit_for_bit(rows, max_terms, tail_tol):
+    ctrl = SeriesControl(max_terms, tail_tol)
+    table = derivs_table(rows, ctrl)
+    assert table.shape == (len(rows), 4)
+    for row, got in zip(rows, table):
+        try:
+            d = derivs_at_one(WrightParams(*row), ctrl)
+        except ConvergenceError:
+            assert np.isnan(got).all(), row  # flagged wherever the scalar call raises
+            continue
+        assert got.tobytes() == np.array([d.w1, d.wp1, d.wpp1, d.wppp1]).tobytes(), row
+
+
+def test_derivs_table_flags_an_exp_argument_from_709():
+    # log Gamma(alpha) is near 2^63, so log(Gamma(alpha) Gamma(gamma)) rounds up by
+    # 2048 and the first term's exp argument is 2048 - log Gamma(gamma) = 709.07.
+    p = WrightParams(3.5e17, 1, 287.63, 1)
+    d = derivs_at_one(p)
+    assert 709 < math.log(d.w1) < 709.78
+    table = derivs_table([[3.5e17, 1, 287.63, 1], [2, 1, 2, 1]])
+    assert np.isnan(table[0]).all() and not np.isnan(table[1]).any()
+
+
 def test_deterministic():
     p = WrightParams(1.3, 0.7, 2.2, 1.9)
     assert wright_eval(p, 0.4 + 0.9j) == wright_eval(p, 0.4 + 0.9j)
@@ -257,6 +298,24 @@ def test_import_does_not_load_numpy_polynomial():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_commands_do_not_load_numpy_ma(tmp_path):
+    # np.unique without a return_* flag, or along an axis, imports numpy.ma, a module
+    # these commands otherwise never load, and its import adds to their peak memory.
+    code = (
+        "import contextlib, io, sys, wrightmaps.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [wrightmaps.cli.main(argv.split()) for argv in sys.argv[1:]]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    commands = [
+        f"scan T3.1 --axis alpha1=0.5:2:0.5 --axis beta1=0.5:1:0.5 --out {tmp_path / 'scan.csv'}",
+        "verify T3.1 --p1 2,1,2,1 --count 2 --theta-count 256",
+        f"render --f random --p1 2,1,2,1 --out {tmp_path / 'render.svg'}",
+    ]
+    out = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[0, 0, 0] False\n", "")
 
 
 def test_series_match_mpmath_at_small_alpha_gamma():
