@@ -15,10 +15,7 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from .criteria import (
-    DEFAULT_EPSILONS,
     THEOREM_IDS,
     THEOREMS,
     class_bound_coeffs,
@@ -28,16 +25,7 @@ from .criteria import (
     stated_hypothesis,
 )
 from .errors import ConvergenceError, DomainError, check_integer
-from .mappings import (
-    CoefficientSeq,
-    ConvolutionSpec,
-    ImageCoefficients,
-    convolve,
-    convolve_each,
-    random_coefficients,
-)
-from .oracle import SampleGrid, sweep
-from .wright import SeriesControl, WrightParams, derivs_at_one, normalized_eval, wright_eval
+from .wright import ConvolutionSpec, SeriesControl, WrightParams, derivs_at_one, normalized_eval, wright_eval
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -83,6 +71,8 @@ _LIST_OPTIONS = {"axis", "fix"}
 
 # Commands that take a theorem identifier before their options.
 _THEOREM_COMMANDS = ("check", "scan", "verify")
+# Commands that run on the standard library alone; the others import numpy when called.
+_STDLIB_COMMANDS = ("eval", "derivs", "check")
 # The two forms of every hypothesis report, in stated_hypothesis's order; --gate names one.
 _FORMS = ("stated", "derived")
 # Largest scan or circle grid, in points, coefficient index and series term budget;
@@ -239,7 +229,7 @@ def _gate(opts) -> int:
 _FIRST_INDEX = {"a": 2, "b": 1}
 
 
-def write_coeff_csv(path: str, f: CoefficientSeq) -> None:
+def write_coeff_csv(path: str, f) -> None:
     """Serialize a CoefficientSeq as rows part,n,re,im (part 'a' from n=2, 'b' from n=1)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -249,7 +239,9 @@ def write_coeff_csv(path: str, f: CoefficientSeq) -> None:
                 writer.writerow([part, k + _FIRST_INDEX[part], _csv_num(v.real), _csv_num(v.imag)])
 
 
-def read_coeff_csv(path: str) -> CoefficientSeq:
+def read_coeff_csv(path: str):
+    import numpy as np
+    from .mappings import CoefficientSeq
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             header, *rows = list(csv.reader(fh)) or [None]
@@ -361,18 +353,21 @@ def _axis_range(text: str):
 
 def _parse_axis(text: str):
     """'name=start:stop:step' -> (name, array of start + k*step for k = 0, 1, ... up to stop)."""
+    import numpy as np
     name, start, step, count = _axis_range(text)
     return name, start + np.arange(count) * step  # the bits of start + k*step
 
 
 def _csv_column(values):
     """_csv_num of every value, formatting each distinct value (bit for bit) once."""
+    import numpy as np
     bits, index = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
     return np.array([_csv_num(v) for v in bits.view(float).tolist()], dtype=object)[index].tolist()
 
 
 def _cmd_scan(theorem: str, opts) -> int:
     """grid scan to CSV"""
+    import numpy as np
     grid = {name: 1.0 for name in _PARAM_NAMES}
     grid.update({"sigma": 0.0, "order": 0.0, "b1": 0.0})
     for text in opts["fix"]:
@@ -403,6 +398,8 @@ def _cmd_scan(theorem: str, opts) -> int:
 def _mapping_sources(opts):
     """Mappings named by --f: identity, random (--count of them, else one, drawn
     lazily from --seed), classbound:<class> or file:<path>."""
+    import numpy as np
+    from .mappings import CoefficientSeq, random_coefficients
     source = opts["f"]
     nmax = _parse_int(opts["nmax"], "nmax", maximum=_MAX_POINTS)
     seed = _parse_int(opts["seed"], "seed", minimum=0)
@@ -434,6 +431,9 @@ def _circle_grid(opts):
 
 def _cmd_verify(theorem: str, opts) -> int:
     """criteria vs geometric oracle"""
+    from .criteria import DEFAULT_EPSILONS
+    from .mappings import convolve_each
+    from .oracle import SampleGrid, sweep
     gate = _gate(opts)
     route = THEOREMS[theorem]
     spec = gated_spec(route, _conv_spec(opts))  # C1 and R1 gate on, so convolve with, gamma = delta = 1
@@ -462,7 +462,7 @@ def _cmd_verify(theorem: str, opts) -> int:
             if DEFAULT_EPSILONS.size * max(img.h.size, img.g.size) > _MAX_POINTS:
                 raise DomainError(f"the epsilon probe would evaluate more than {_MAX_POINTS} points")
             lhs = close_to_convex_lhs(img)
-            bad = np.flatnonzero(~(lhs <= 1))  # a NaN fails, as in the probe's reports
+            bad = (~(lhs <= 1)).nonzero()[0]  # a NaN fails, as in the probe's reports
             failure = bad.size and f"close-to-convex probe L5[eps{bad[0]}] lhs={_fmt(lhs[bad[0]])} > 1"
             success = f"all {lhs.size} epsilon probes pass"
         counts["COUNTEREXAMPLE" if failure else "CONSISTENT"] += 1
@@ -477,8 +477,10 @@ def _cmd_verify(theorem: str, opts) -> int:
 # --------------------------------- rendering --------------------------------
 
 
-def sample_boundary_curves(img: ImageCoefficients, radii, theta_count: int):
+def sample_boundary_curves(img, radii, theta_count: int):
     """Image of each circle |z| = r under the mapping at theta_count angles, in increasing r."""
+    import numpy as np
+    from .oracle import SampleGrid
     theta_count = check_integer(theta_count, 64, "theta_count")
     with np.errstate(over="ignore", invalid="ignore"):
         values = SampleGrid(radii, theta_count).circle_values(img.h, img.g)
@@ -489,6 +491,7 @@ def sample_boundary_curves(img: ImageCoefficients, radii, theta_count: int):
 
 def curves_to_svg(curves, width: int, height: int) -> str:
     """SVG 1.1 document: one closed polyline per curve plus coordinate axes."""
+    import numpy as np
     width, height = check_integer(width, 1, "width"), check_integer(height, 1, "height")
     xs = np.concatenate([c.real for c in curves] + [np.zeros(1)])
     ys = np.concatenate([-c.imag for c in curves] + [np.zeros(1)])  # screen y grows downward
@@ -523,12 +526,13 @@ def curves_to_svg(curves, width: int, height: int) -> str:
 
 def _cmd_render(opts) -> int:
     """boundary curves to SVG"""
+    from .mappings import CoefficientSeq, ImageCoefficients, convolve
     radii, theta_count = _circle_grid(opts)
     width = _parse_int(opts["width"], "width")
     height = _parse_int(opts["height"], "height")
     [f] = _mapping_sources(opts)
     if opts["f"] == "random":
-        scale = 0.45 / max(np.abs(f.a).sum() + np.abs(f.b).sum(), 1.0)  # keep it univalent-ish
+        scale = 0.45 / max(abs(f.a).sum() + abs(f.b).sum(), 1.0)  # keep it univalent-ish
         f = CoefficientSeq(f.a * scale, f.b * scale)
 
     if opts["p1"] or opts["p2"] or opts["sigma"]:
@@ -625,7 +629,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-@np.errstate(all="ignore")  # every output reports its non-finite values itself
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
@@ -635,9 +638,12 @@ def main(argv=None) -> int:
         opts = _effective_options(cmd, args)
         if args.show_config:
             _show_config(cmd, opts)
-        if cmd in _THEOREM_COMMANDS:
-            return _COMMANDS[cmd](args.theorem, opts)
-        return _COMMANDS[cmd](opts)
+        theorem = (args.theorem,) if cmd in _THEOREM_COMMANDS else ()
+        if cmd in _STDLIB_COMMANDS:
+            return _COMMANDS[cmd](*theorem, opts)
+        import numpy as np
+        with np.errstate(all="ignore"):  # every output reports its non-finite values itself
+            return _COMMANDS[cmd](*theorem, opts)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -22,13 +22,12 @@ criterion for the matching coefficient class.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, check_integer
-from .mappings import ConvolutionSpec, ImageCoefficients, check_sigma
-from .wright import DEFAULT_CONTROL, DerivativeValues, SeriesControl, WrightParams, derivs_at_one, derivs_table
+from .wright import (DEFAULT_CONTROL, ConvolutionSpec, DerivativeValues, SeriesControl, WrightParams, check_sigma,
+                     derivs_at_one, derivs_table)
 
 FORM_STATED = "as_stated"
 FORM_DERIVED = "as_derived"
@@ -89,6 +88,7 @@ def _check_order(order: float) -> float:
 
 def _lemma_sum(rid: str, a_abs, b_abs, order: float, power: int) -> CriterionReport:
     """sum n^power (n - order)|A_n| + sum n^power (n + order)|B_n|  vs  1 - order."""
+    import numpy as np
     order = _check_order(order)
     a_abs = np.atleast_1d(np.asarray(a_abs, dtype=float))
     b_abs = np.atleast_1d(np.asarray(b_abs, dtype=float))
@@ -110,11 +110,13 @@ def lemma2_sum(a_abs, b_abs, order: float) -> CriterionReport:
 
 def _starlike_range_lhs(t_abs):
     """sum_{n>=2} n |t_n| along the last axis: one value per row of t_abs."""
+    import numpy as np
     return np.sum(np.arange(2, 2 + t_abs.shape[-1]) * t_abs, axis=-1)
 
 
 def lemma5_sum(t_abs) -> CriterionReport:
     """sum_{n>=2} n |t_n|  vs  1 (starlike range of z + sum t_n z^n)."""
+    import numpy as np
     t_abs = np.atleast_1d(np.asarray(t_abs, dtype=float))
     return _report("L5", _starlike_range_lhs(t_abs), 1.0, FORM_EXACT)
 
@@ -136,6 +138,7 @@ def class_bound_coeffs(klass: str, b1: float = 0.0, n_max: int = 50):
     klass 'CH0_family': (2n+1)(n+1)/6      and (2n-1)(n-1)/6
     klass 'CH':         the CH0_family pair cross-mixed with weight |b1|
     """
+    import numpy as np
     n_max = check_integer(n_max, 2, "n_max")
     b1 = abs(b1)
     if not b1 < 1:
@@ -251,6 +254,7 @@ def stated_hypothesis(
 
 def _valid_params(kernels):
     """Which (alpha, beta, gamma, delta) rows of an (n, 4) array WrightParams accepts."""
+    import numpy as np
     alpha, beta, gamma, delta = kernels.T
     finite = np.isfinite(kernels).all(axis=1)
     return finite & (alpha > 0) & (gamma > 0) & (beta >= 0) & (delta >= 0) & (beta + delta > 0)
@@ -267,6 +271,7 @@ def hypothesis_columns(theorem_id: str, kernels1, kernels2, sigma, order, b1, ct
     the first error of the point-by-point loop: in each row in turn p1, p2, sigma,
     order and b1 are checked, then the two kernels evaluated.
     """
+    import numpy as np
     route = _route(theorem_id)
     sigma, order, b1 = (np.asarray(column, dtype=float) for column in (sigma, order, b1))
     n = len(order)
@@ -305,48 +310,60 @@ def hypothesis_columns(theorem_id: str, kernels1, kernels2, sigma, order, b1, ct
         return tuple((lhs, np.broadcast_to(rhs, n), lhs <= rhs) for lhs, rhs in ((sl, sr), (dl, dr)))
 
 
-def exact_image_criterion(img: ImageCoefficients, order: float, target: str) -> CriterionReport:
-    """Ground-truth sufficiency check on the image's own coefficients."""
+def exact_image_criterion(img, order: float, target: str) -> CriterionReport:
+    """Ground-truth sufficiency check on an ImageCoefficients' own coefficients."""
     if target not in ("starlike_L1", "convex_L2"):
         raise DomainError(f"target must be 'starlike_L1' or 'convex_L2', got {target!r}")
     power = ("starlike_L1", "convex_L2").index(target)
-    return _lemma_sum(target, np.abs(img.ha), np.abs(img.gb), order, power)
+    return _lemma_sum(target, abs(img.ha), abs(img.gb), order, power)
 
 
-def _unit_moduli(epsilons) -> np.ndarray:
+def _unit_moduli(epsilons):
     """epsilons as a 1-D complex array; DomainError unless every |epsilon| is 1 (to 1e-12)."""
+    import numpy as np
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=complex))
     if not np.all(np.abs(np.abs(epsilons) - 1) <= 1e-12):
         raise DomainError(f"every |epsilon| must equal 1, got moduli {np.abs(epsilons)}")
     return epsilons
 
 
-# 64 equally spaced unit-modulus probes plus +-1 and +-i, checked once; read-only,
-# since every probe without its own epsilons reads this one array.
-DEFAULT_EPSILONS = _unit_moduli(
-    np.concatenate([np.exp(2j * np.pi * np.arange(64) / 64), np.array([1, -1, 1j, -1j], dtype=complex)])
-)
-DEFAULT_EPSILONS.flags.writeable = False
+# 64 equally spaced unit-modulus probes plus +-1 and +-i, built on first use and checked once;
+# read-only, since every probe without its own epsilons reads this one array.
+@functools.cache
+def _default_epsilons():
+    import numpy as np
+    epsilons = _unit_moduli(
+        np.concatenate([np.exp(2j * np.pi * np.arange(64) / 64), np.array([1, -1, 1j, -1j], dtype=complex)])
+    )
+    epsilons.flags.writeable = False
+    return epsilons
 
 
-def default_epsilons() -> np.ndarray:
+def __getattr__(name):  # PEP 562: DEFAULT_EPSILONS is _default_epsilons()
+    if name == "DEFAULT_EPSILONS":
+        return _default_epsilons()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def default_epsilons():
     """A fresh copy of the 68 default probes: 64 equally spaced unit-modulus values plus +-1 and +-i."""
-    return DEFAULT_EPSILONS.copy()
+    return _default_epsilons().copy()
 
 
-def close_to_convex_lhs(img: ImageCoefficients, b1=None, epsilons=None) -> np.ndarray:
+def close_to_convex_lhs(img, b1=None, epsilons=None):
     """Starlike-range lhs sum n|t_n| of (H + eps*sigma*G)/(1 + eps*b1) per unit-modulus eps.
 
     One entry per epsilon, in input order (the 68 default probes if None); b1
     defaults to the image's own first co-analytic coefficient.  The probe passes
     at an epsilon when its entry is <= 1, so a NaN entry fails.
     """
+    import numpy as np
     if b1 is None:
         b1 = img.g[1] if img.g.size > 1 else 0j
     b1 = complex(b1)
     if not abs(b1) < 1:
         raise DomainError(f"|b1| must be < 1, got {abs(b1)}")
-    eps = (DEFAULT_EPSILONS if epsilons is None else _unit_moduli(epsilons))[:, None]
+    eps = (_default_epsilons() if epsilons is None else _unit_moduli(epsilons))[:, None]
     size = max(img.h.size, img.g.size)
     h = np.zeros(size, dtype=complex)
     h[: img.h.size] = img.h
@@ -357,7 +374,7 @@ def close_to_convex_lhs(img: ImageCoefficients, b1=None, epsilons=None) -> np.nd
     return _starlike_range_lhs(t_abs)
 
 
-def close_to_convex_probe(img: ImageCoefficients, b1=None, epsilons=None):
+def close_to_convex_probe(img, b1=None, epsilons=None):
     """close_to_convex_lhs as one L5[eps<k>] report per epsilon, in input order.
 
     The probe certifies close-to-convexity only if every report passes.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_integer
-from .wright import WrightParams, norm_coeffs
+from .wright import ConvolutionSpec, check_sigma, norm_coeffs  # noqa: F401 - check_sigma re-exported
 
 
 class CoefficientSeq:
@@ -36,26 +36,6 @@ class CoefficientSeq:
 
     def __repr__(self):
         return f"CoefficientSeq(a={self.a!r}, b={self.b!r})"
-
-
-@dataclass(frozen=True)
-class ConvolutionSpec:
-    """Kernel parameters for the analytic / co-analytic sides plus the weight sigma."""
-
-    p1: WrightParams
-    p2: WrightParams
-    sigma: complex = 0j
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", check_sigma(self.sigma))
-
-
-def check_sigma(sigma) -> complex:
-    """The co-analytic weight as a complex number; DomainError unless |sigma| < 1."""
-    sigma = complex(sigma)
-    if not abs(sigma) < 1:
-        raise DomainError(f"|sigma| must be < 1, got {abs(sigma)}")
-    return sigma
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ entire in z whenever beta + delta > 0.  Its normalized companion
 
 has W(0) = 0 and W'(0) = 1 (c_1 = 1).  Every function here reads its terms
 from one certified-sum kernel, `_terms`, which computes each gamma ratio as a
-difference of log-gamma values so that no intermediate overflows.
+difference of log-gamma values so that no intermediate overflows.  The scalar
+functions, and ConvolutionSpec, use the standard library alone; numpy is
+imported by the array functions (norm_coeffs, derivs_table) when called.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, check_integer
 
@@ -66,6 +66,26 @@ class WrightParams:
             raise DomainError(f"beta and delta must be >= 0, got beta={self.beta}, delta={self.delta}")
         if self.beta + self.delta <= 0:
             raise DomainError("beta + delta must be > 0 for an absolutely convergent series")
+
+
+@dataclass(frozen=True)
+class ConvolutionSpec:
+    """Kernel parameters for the analytic / co-analytic sides plus the weight sigma."""
+
+    p1: WrightParams
+    p2: WrightParams
+    sigma: complex = 0j
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
+
+
+def check_sigma(sigma) -> complex:
+    """The co-analytic weight as a complex number; DomainError unless |sigma| < 1."""
+    sigma = complex(sigma)
+    if not abs(sigma) < 1:
+        raise DomainError(f"|sigma| must be < 1, got {abs(sigma)}")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -134,12 +154,13 @@ def _terms(p: WrightParams, r: float, normalized=True, weight=0, ctrl=DEFAULT_CO
     raise ConvergenceError(f"series tail not below {tol} within {ctrl.max_terms} terms for {p}, r={r}")
 
 
-def norm_coeffs(p: WrightParams, count: int) -> np.ndarray:
+def norm_coeffs(p: WrightParams, count: int):
     """[c_1, ..., c_count] as a float array, in one pass of the kernel.
 
     The least positive tolerance stops it only at a c_n that rounds to 0 past the
     peak of the log-concave c_n, where every later one rounds to 0 too.
     """
+    import numpy as np
     count = check_integer(count, 0, "count")
     ctrl = SeriesControl(max(count, 2), math.ulp(0.0))
     coeffs = np.zeros(count)
@@ -211,8 +232,9 @@ _LGAMMA_FLAG = 1e300
 _STEP_ELEMENTS = 1 << 14
 
 
-def _log_gammas(args: np.ndarray) -> np.ndarray:
-    """log Gamma of every element by _terms' expression, and NaN from _LGAMMA_FLAG up."""
+def _log_gammas(args):
+    """log Gamma of every element of an array by _terms' expression, and NaN from _LGAMMA_FLAG up."""
+    import numpy as np
     log, gamma, lgamma, lo, hi, top = math.log, math.gamma, math.lgamma, _GAMMA_LO, _GAMMA_HI, _LGAMMA_FLAG
     values = [
         log(gamma(a)) if lo < a < hi else lgamma(a) if a < top else math.nan for a in args.ravel().tolist()
@@ -220,8 +242,7 @@ def _log_gammas(args: np.ndarray) -> np.ndarray:
     return np.array(values).reshape(args.shape)
 
 
-@np.errstate(all="ignore")  # overflow marks a row, and never reaches the caller as a warning
-def derivs_table(rows, ctrl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
+def derivs_table(rows, ctrl: SeriesControl = DEFAULT_CONTROL):
     """derivs_at_one of each valid (alpha, beta, gamma, delta) row, as a (K, 4) array.
 
     Row k holds W(1), W'(1), W''(1), W'''(1) with derivs_at_one's bits: the same
@@ -231,48 +252,50 @@ def derivs_table(rows, ctrl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
     argument of at least _EXP_FLAG, a log-gamma argument of at least _LGAMMA_FLAG,
     sums that are not finite, or a term budget run out.
     """
-    rows = np.asarray(rows, dtype=float).reshape(-1, 4)
-    halves = np.ascontiguousarray(rows.reshape(-1, 2))  # row k's (alpha, beta) at 2k, (gamma, delta) at 2k+1
-    keys = halves.view(np.dtype((np.void, 2 * halves.itemsize))).ravel()
-    _, first, half_of = np.unique(keys, return_index=True, return_inverse=True)
-    start, step = halves[first].T
-    half_of = half_of.reshape(-1, 2)
-    sums = np.zeros((len(rows), 4))
-    shift = np.zeros(len(rows))
-    prev = np.full(len(rows), math.nan)  # no ratio exists before the second term
-    flagged = np.zeros(len(rows), dtype=bool)
-    active = np.arange(len(rows))
-    k0, width, tol = 0, 8, ctrl.tail_tol
-    while active.size and k0 < ctrl.max_terms:
-        # 16, 32, ... terms: most kernels stop within the first step, and a slow one takes few steps.
-        width = min(2 * width, max(1, _STEP_ELEMENTS // active.size), ctrl.max_terms - k0)
-        n = range(k0 + 1, k0 + width + 1)  # n = k + 1 for the step's terms k
-        # The weights of the four sums and the stop rule: exact ints rounded once, as in derivs_at_one.
-        weights = np.array([[1, m, m * (m - 1), m * (m - 1) * (m - 2), m**3] for m in n], dtype=float).T
-        used = np.zeros(len(start), dtype=bool)
-        used[half_of[active]] = True
-        log_gammas = np.zeros((len(start), width))
-        log_gammas[used] = _log_gammas(start[used, None] + np.arange(k0, k0 + width) * step[used, None])
-        la, lg = log_gammas[half_of[active, 0]], log_gammas[half_of[active, 1]]
-        if not k0:
-            shift[active] = la[:, 0] + lg[:, 0]  # log(Gamma(alpha) Gamma(gamma))
-        x = shift[active, None] + 0.0 - la - lg
-        bad = ~(x < _EXP_FLAG)  # NaN too, which a log-gamma flag makes
-        terms = np.fromiter(map(math.exp, np.where(bad, -math.inf, x).ravel().tolist()), float, x.size)
-        terms = terms.reshape(x.shape)
-        weighted = weights[4] * terms
-        before = np.concatenate([prev[active, None], weighted[:, :-1]], axis=1)
-        stops = (weighted <= 0.5 * before) & (_TAIL_SAFETY * weighted <= tol)
-        stopped = stops.any(axis=1)
-        kept = np.arange(width) <= np.where(stopped, stops.argmax(axis=1), width)[:, None]
-        flagged[active] = (bad & kept).any(axis=1)
-        terms = np.where(kept, terms, 0.0)  # adding +0.0 leaves a nonnegative sum's bits
-        parts = np.concatenate([sums[active, :, None], weights[:4] * terms[:, None, :]], axis=2)
-        sums[active] = np.add.accumulate(parts, axis=2)[:, :, -1]  # one term at a time, as derivs_at_one adds
-        prev[active] = weighted[:, -1]
-        active = active[~stopped & ~flagged[active]]
-        k0 += width
-    flagged[active] = True  # the term budget ran out
-    flagged |= ~(sums[:, 0] + sums[:, 1] + sums[:, 2] + sums[:, 3] < math.inf)
-    sums[flagged] = math.nan
-    return sums
+    import numpy as np
+    with np.errstate(all="ignore"):  # overflow marks a row, and never reaches the caller as a warning
+        rows = np.asarray(rows, dtype=float).reshape(-1, 4)
+        halves = np.ascontiguousarray(rows.reshape(-1, 2))  # row k's (alpha, beta) at 2k, (gamma, delta) at 2k+1
+        keys = halves.view(np.dtype((np.void, 2 * halves.itemsize))).ravel()
+        _, first, half_of = np.unique(keys, return_index=True, return_inverse=True)
+        start, step = halves[first].T
+        half_of = half_of.reshape(-1, 2)
+        sums = np.zeros((len(rows), 4))
+        shift = np.zeros(len(rows))
+        prev = np.full(len(rows), math.nan)  # no ratio exists before the second term
+        flagged = np.zeros(len(rows), dtype=bool)
+        active = np.arange(len(rows))
+        k0, width, tol = 0, 8, ctrl.tail_tol
+        while active.size and k0 < ctrl.max_terms:
+            # 16, 32, ... terms: most kernels stop within the first step, and a slow one takes few steps.
+            width = min(2 * width, max(1, _STEP_ELEMENTS // active.size), ctrl.max_terms - k0)
+            n = range(k0 + 1, k0 + width + 1)  # n = k + 1 for the step's terms k
+            # The weights of the four sums and the stop rule: exact ints rounded once, as in derivs_at_one.
+            weights = np.array([[1, m, m * (m - 1), m * (m - 1) * (m - 2), m**3] for m in n], dtype=float).T
+            used = np.zeros(len(start), dtype=bool)
+            used[half_of[active]] = True
+            log_gammas = np.zeros((len(start), width))
+            log_gammas[used] = _log_gammas(start[used, None] + np.arange(k0, k0 + width) * step[used, None])
+            la, lg = log_gammas[half_of[active, 0]], log_gammas[half_of[active, 1]]
+            if not k0:
+                shift[active] = la[:, 0] + lg[:, 0]  # log(Gamma(alpha) Gamma(gamma))
+            x = shift[active, None] + 0.0 - la - lg
+            bad = ~(x < _EXP_FLAG)  # NaN too, which a log-gamma flag makes
+            terms = np.fromiter(map(math.exp, np.where(bad, -math.inf, x).ravel().tolist()), float, x.size)
+            terms = terms.reshape(x.shape)
+            weighted = weights[4] * terms
+            before = np.concatenate([prev[active, None], weighted[:, :-1]], axis=1)
+            stops = (weighted <= 0.5 * before) & (_TAIL_SAFETY * weighted <= tol)
+            stopped = stops.any(axis=1)
+            kept = np.arange(width) <= np.where(stopped, stops.argmax(axis=1), width)[:, None]
+            flagged[active] = (bad & kept).any(axis=1)
+            terms = np.where(kept, terms, 0.0)  # adding +0.0 leaves a nonnegative sum's bits
+            parts = np.concatenate([sums[active, :, None], weights[:4] * terms[:, None, :]], axis=2)
+            sums[active] = np.add.accumulate(parts, axis=2)[:, :, -1]  # one term at a time, as derivs_at_one adds
+            prev[active] = weighted[:, -1]
+            active = active[~stopped & ~flagged[active]]
+            k0 += width
+        flagged[active] = True  # the term budget ran out
+        flagged |= ~(sums[:, 0] + sums[:, 1] + sums[:, 2] + sums[:, 3] < math.inf)
+        sums[flagged] = math.nan
+        return sums

@@ -599,6 +599,26 @@ def test_numpy_warnings_stay_off_stderr(tmp_path, rows, argv, code, stdout):
     assert (out.returncode, out.stdout, out.stderr) == (code, stdout, "")
 
 
+def test_only_numpy_commands_run_under_errstate(monkeypatch, tmp_path, capsys):
+    # check runs on floats and leaves numpy's error state as it finds it; scan runs with
+    # every numpy warning off, and the state is restored after either.
+    seen = []
+
+    def spy(name):
+        function = getattr(wrightmaps.cli, name)
+        monkeypatch.setattr(wrightmaps.cli, name, lambda *args: seen.append(np.geterr()) or function(*args))
+
+    spy("stated_hypothesis")
+    spy("hypothesis_columns")
+    with np.errstate(over="raise", divide="warn", invalid="ignore", under="print"):
+        before = np.geterr()
+        assert main(["check", "T3.1", "--p1", "2,1,2,1"]) == 0
+        assert main(["scan", "T3.1", "--axis", "alpha1=1:2:1", "--out", str(tmp_path / "s.csv")]) == 0
+        assert np.geterr() == before
+    assert seen == [before, dict.fromkeys(before, "ignore")]
+    assert capsys.readouterr().err == ""
+
+
 def run_cli_bounded(*args, seconds=30, address_space=1 << 30):
     """run_cli in a child with a time and an address-space limit: a runaway fails, not hangs."""
 

@@ -450,6 +450,15 @@ def test_default_epsilons_returns_a_fresh_array():
         DEFAULT_EPSILONS[0] = 1
 
 
+def test_default_epsilons_is_one_read_only_array():
+    # Built on first use, then the same array on every access, by attribute or by import.
+    first = wrightmaps.criteria.DEFAULT_EPSILONS
+    assert wrightmaps.criteria.DEFAULT_EPSILONS is first and DEFAULT_EPSILONS is first
+    assert not first.flags.writeable and first.tobytes() == default_epsilons().tobytes()
+    with pytest.raises(AttributeError, match="NO_SUCH_NAME"):
+        wrightmaps.criteria.NO_SUCH_NAME
+
+
 def test_close_to_convex_probe_reports_carry_the_lhs_array():
     rng = np.random.default_rng(9)
     cases = [(ImageCoefficients(), None, None), (ImageCoefficients([np.nan]), None, None)]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wrightmaps
 from wrightmaps import (
     DEFAULT_CONTROL,
     ConvergenceError,
@@ -286,18 +287,54 @@ def test_deterministic():
     assert derivs_at_one(p) == derivs_at_one(p)
 
 
-def test_import_does_not_load_scipy():
-    code = "import sys, wrightmaps.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+# The public names of `import wrightmaps`, by the module that defines them, in __all__'s order.
+PUBLIC_NAMES = {
+    "errors": ["ConvergenceError", "DomainError", "SingularPointError"],
+    "wright": ["DEFAULT_CONTROL", "DerivativeValues", "SeriesControl", "WrightParams", "derivs_at_one",
+               "norm_coeff", "norm_coeffs", "normalized_eval", "wright_eval"],
+    "mappings": ["CoefficientSeq", "ConvolutionSpec", "EvalPoint", "ImageCoefficients", "convolve",
+                 "eval_derivs", "eval_map", "identity_image", "random_coefficients"],
+    "criteria": ["CriterionReport", "FORM_DERIVED", "FORM_EXACT", "FORM_STATED", "THEOREM_IDS",
+                 "class_bound_coeffs", "close_to_convex_lhs", "close_to_convex_probe", "default_epsilons",
+                 "exact_image_criterion", "hypothesis_columns", "lemma1_sum", "lemma2_sum", "lemma5_sum",
+                 "lemma6_membership", "stated_hypothesis"],
+    "oracle": ["OracleReport", "SampleGrid", "Violation", "dtheta_arg_f", "dtheta_arg_ftheta",
+               "jacobian_margin", "sweep"],
+}
 
 
-def test_import_does_not_load_numpy_polynomial():
-    code = "import sys, wrightmaps.cli; print('numpy.polynomial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+def test_public_names_are_the_modules_own():
+    assert wrightmaps.__all__ == [*itertools.chain(*PUBLIC_NAMES.values()), "__version__"]
+    for module, names in PUBLIC_NAMES.items():
+        for name in names:
+            assert getattr(wrightmaps, name) is getattr(getattr(wrightmaps, module), name), name
+    assert wrightmaps.mappings.ConvolutionSpec is wrightmaps.wright.ConvolutionSpec
+    namespace = {}
+    exec("from wrightmaps import *", namespace)
+    assert set(wrightmaps.__all__) <= set(namespace) and set(wrightmaps.__all__) <= set(dir(wrightmaps))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wrightmaps.no_such_name
+
+
+def test_point_commands_load_no_numpy(tmp_path):
+    # eval, derivs and check run on the standard library alone: a fresh process
+    # running them imports neither numpy nor scipy.
+    config = tmp_path / "t54.cfg"
+    config.write_text("p1 = 2,1,2,1\nsigma = 0.1,0.2\nb1 = 0.3\n", encoding="utf-8")
+    code = (
+        "import contextlib, io, sys, wrightmaps.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [wrightmaps.cli.main(argv.split()) for argv in sys.argv[1:]]\n"
+        "print(codes, sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+    )
+    commands = [
+        "eval --p 1.3,0.7,2.2,1.9 --z 0.4,0.9",
+        "derivs --p 2,1,2,1",
+        "check T3.1 --p1 2,1,2,1",
+        f"check T5.4 --config {config} --show-config",  # its gate fails
+    ]
+    out = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[0, 0, 0, 1] []\n", "")
 
 
 def test_commands_do_not_load_numpy_ma(tmp_path):
@@ -307,7 +344,7 @@ def test_commands_do_not_load_numpy_ma(tmp_path):
         "import contextlib, io, sys, wrightmaps.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [wrightmaps.cli.main(argv.split()) for argv in sys.argv[1:]]\n"
-        "print(codes, 'numpy.ma' in sys.modules)\n"
+        "print(codes, 'numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
     )
     commands = [
         f"scan T3.1 --axis alpha1=0.5:2:0.5 --axis beta1=0.5:1:0.5 --out {tmp_path / 'scan.csv'}",
@@ -315,7 +352,7 @@ def test_commands_do_not_load_numpy_ma(tmp_path):
         f"render --f random --p1 2,1,2,1 --out {tmp_path / 'render.svg'}",
     ]
     out = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True, text=True)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "[0, 0, 0] False\n", "")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[0, 0, 0] False False\n", "")
 
 
 def test_series_match_mpmath_at_small_alpha_gamma():
