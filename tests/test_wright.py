@@ -316,6 +316,20 @@ def test_public_names_are_the_modules_own():
         wrightmaps.no_such_name
 
 
+def test_import_does_not_load_scipy():
+    code = "import sys, wrightmaps.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_import_does_not_load_numpy_polynomial():
+    code = "import sys, wrightmaps.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_point_commands_load_no_numpy(tmp_path):
     # eval, derivs and check run on the standard library alone: a fresh process
     # running them imports neither numpy nor scipy.
