@@ -19,6 +19,7 @@ from .criteria import (
     THEOREM_IDS,
     THEOREMS,
     class_bound_coeffs,
+    close_to_convex_bound,
     close_to_convex_lhs,
     gated_spec,
     hypothesis_columns,
@@ -431,7 +432,6 @@ def _circle_grid(opts):
 
 def _cmd_verify(theorem: str, opts) -> int:
     """criteria vs geometric oracle"""
-    from .criteria import DEFAULT_EPSILONS
     from .mappings import convolve_each
     from .oracle import SampleGrid, sweep
     gate = _gate(opts)
@@ -459,12 +459,28 @@ def _cmd_verify(theorem: str, opts) -> int:
             )
             success = f"min {quantity} = {_fmt(rep.min_value)}"
         else:
-            if DEFAULT_EPSILONS.size * max(img.h.size, img.g.size) > _MAX_POINTS:
+            from .criteria import DEFAULT_EPSILONS
+            size = max(img.h.size, img.g.size)
+            if DEFAULT_EPSILONS.size * size > _MAX_POINTS:
                 raise DomainError(f"the epsilon probe would evaluate more than {_MAX_POINTS} points")
-            lhs = close_to_convex_lhs(img)
-            bad = (~(lhs <= 1)).nonzero()[0]  # a NaN fails, as in the probe's reports
-            failure = bad.size and f"close-to-convex probe L5[eps{bad[0]}] lhs={_fmt(lhs[bad[0]])} > 1"
-            success = f"all {lhs.size} epsilon probes pass"
+            success = f"all {DEFAULT_EPSILONS.size} epsilon probes pass"
+            bound = close_to_convex_bound(img)  # T, after checking |b1| < 1
+            # T <= 1 - slack certifies every |eps| = 1, and also that each of the 68 computed
+            # probe values is <= 1, so the verdict printed is the probe's.  With u = 2^-53,
+            # m = size (at least the terms of each sum), x = u / (1 - |b1|) and |eps| <= 1 + 4u
+            # for the default probes: a computed probe value is at most T (1 + (m + 27)u) / (1 - 8x)
+            # (product and sum, Smith's division within 16u, hypot, times n, then m - 1 additions
+            # of nonnegative terms), and the computed T at least T (1 - (m + 5)u) / (1 + 2x).  So a
+            # slack of (2m + 64)u + 64x keeps every computed probe value below 1 - 29u, which also
+            # absorbs the absolute errors of underflow (below 1e-290).  For x >= 1/64 the slack
+            # exceeds 1 and nothing is certified; below that, no denominator can round to 0.
+            x = 2**-53 / (1 - abs(img.g[1] if img.g.size > 1 else 0))
+            if bound <= 1 - (2 * size + 64) * 2**-53 - 64 * x:
+                failure = None
+            else:
+                lhs = close_to_convex_lhs(img)
+                bad = (~(lhs <= 1)).nonzero()[0]  # a NaN fails, as in the probe's reports
+                failure = bad.size and f"close-to-convex probe L5[eps{bad[0]}] lhs={_fmt(lhs[bad[0]])} > 1"
         counts["COUNTEREXAMPLE" if failure else "CONSISTENT"] += 1
         print(f"f[{k}]: COUNTEREXAMPLE {failure}" if failure else f"f[{k}]: CONSISTENT ({success})")
     print(

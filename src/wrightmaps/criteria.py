@@ -350,6 +350,29 @@ def default_epsilons():
     return _default_epsilons().copy()
 
 
+def _probe_b1(img, b1):
+    """b1 as a complex number, the image's own g[1] if None; DomainError unless |b1| < 1."""
+    if b1 is None:
+        b1 = img.g[1] if img.g.size > 1 else 0j
+    b1 = complex(b1)
+    if not abs(b1.real) + abs(b1.imag) < 2 or not abs(b1) < 1:  # the sum first, so abs cannot overflow
+        raise DomainError(f"|b1| must be < 1, got b1 = {b1}")
+    return b1
+
+
+def close_to_convex_bound(img, b1=None) -> float:
+    """T = sum_{n>=2} n(|h_n| + |g_n|) / (1 - |b1|), a bound on close_to_convex_lhs at every |eps| = 1.
+
+    |h_n + eps*g_n| <= |h_n| + |g_n| and |1 + eps*b1| >= 1 - |b1|, so T <= 1
+    shows the starlike-range test passes on the whole circle of eps, not only
+    at the probes.  b1 defaults, and is checked, as in close_to_convex_lhs; a
+    NaN or infinite coefficient gives a T that is not <= 1.
+    """
+    import numpy as np
+    b1 = _probe_b1(img, b1)
+    return float((_starlike_range_lhs(np.abs(img.h[2:])) + _starlike_range_lhs(np.abs(img.g[2:]))) / (1 - abs(b1)))
+
+
 def close_to_convex_lhs(img, b1=None, epsilons=None):
     """Starlike-range lhs sum n|t_n| of (H + eps*sigma*G)/(1 + eps*b1) per unit-modulus eps.
 
@@ -358,11 +381,7 @@ def close_to_convex_lhs(img, b1=None, epsilons=None):
     at an epsilon when its entry is <= 1, so a NaN entry fails.
     """
     import numpy as np
-    if b1 is None:
-        b1 = img.g[1] if img.g.size > 1 else 0j
-    b1 = complex(b1)
-    if not abs(b1) < 1:
-        raise DomainError(f"|b1| must be < 1, got {abs(b1)}")
+    b1 = _probe_b1(img, b1)
     eps = (_default_epsilons() if epsilons is None else _unit_moduli(epsilons))[:, None]
     size = max(img.h.size, img.g.size)
     h = np.zeros(size, dtype=complex)

@@ -30,7 +30,8 @@ from .mappings import EvalPoint, ImageCoefficients, derivative, harmonic_sum
 
 QUANTITIES = ("dtheta_arg_f", "dtheta_arg_ftheta", "jacobian_margin")
 
-# Below this magnitude a denominator counts as a zero: the point is singular.
+# At or below this magnitude, relative to its series' scale sum_k (|a_k| + |b_k|) r^k on
+# the circle, a denominator counts as a zero: the point is singular.
 SINGULAR_EPS = 1e-13
 
 # Spectrum values a long series folds per step, past its first block (4 MiB of complex).
@@ -74,9 +75,7 @@ class SampleGrid:
         len_a, len_b = _support(a), _support(b)
         n, r = self.theta_count, np.array(self.radii)[:, None]
         size = n * max(1, -(-max(len_a, len_b) // n))  # a multiple of n that holds both
-        # From k = 1080 / -log2(r) on, r^k is below 2^-1080, 64 times below the least
-        # subnormal, so pow rounds it to 0; it takes pow about 15 times longer to say so.
-        zero_from = math.ceil(1080 / -math.log2(self.radii[-1]))
+        zero_from = _zero_from(self.radii[-1])
 
         def fill(seg, start):
             """Add the unfolded spectrum's entries start, start + 1, ... to the zeros of seg."""
@@ -103,6 +102,15 @@ class SampleGrid:
             fill(block[..., n:], start)
             folded = block.reshape(*folded.shape[:-1], -1, n).sum(axis=-2)
         return np.fft.ifft(folded, axis=-1, norm="forward", out=folded)
+
+
+def _zero_from(r):
+    """The least k from which pow rounds r^k to 0, for 0 <= r < 1.
+
+    From k = 1080 / -log2(r) on, r^k is below 2^-1080, 64 times below the least
+    subnormal, so pow rounds it to 0; it takes pow about 15 times longer to say so.
+    """
+    return math.ceil(1080 / -math.log2(r)) if r else 1
 
 
 def _powers(r, k, zero_from):
@@ -153,21 +161,39 @@ class OracleReport:
         return not self.violations
 
 
-def _ratio(values):
+def _scale(a, b, radii):
+    """sum_k (|a_k| + |b_k|) r^k at each radius, as a column: the size that bounds
+    sum a_k z^k + conj(sum b_k z^k) on |z| = r, and that scales its rounding error."""
+    c = np.zeros(max(a.size, b.size))
+    c[: a.size] += np.abs(a)
+    c[: b.size] += np.abs(b)
+    r = np.array(radii)[:, None]
+    c = c[: min(_support(c), _zero_from(r.max()))]
+    step = max(1, _FOLD_VALUES // max(1, c.size))  # radii per block of at most _FOLD_VALUES powers
+    return np.concatenate([r[i : i + step] ** np.arange(c.size) @ c for i in range(0, r.size, step)])[:, None]
+
+
+def _ratio(values, a, b, radii):
     """(values[0] / values[1], singular_mask), the quotient written over values[0].
 
-    A denominator below SINGULAR_EPS counts as a zero and is replaced by 1.
+    values[1] holds sum a_k z^k + conj(sum b_k z^k) on the circles of radii; a value
+    no larger than SINGULAR_EPS times _scale(a, b, radii) counts as a zero and is
+    replaced by 1.
     """
     num, den = values
-    singular = np.abs(den) < SINGULAR_EPS
+    size = np.abs(den)
+    # _scale is at most sum_k (|a_k| + |b_k|), so it is needed only where twice that flags a point.
+    singular = size <= 2 * SINGULAR_EPS * (np.abs(a).sum() + np.abs(b).sum())
+    if singular.any():
+        singular = size <= SINGULAR_EPS * _scale(a, b, radii)
     den[singular] = 1
     return np.divide(num, den, out=num), singular
 
 
-def _quantity_values(img: ImageCoefficients, quantity, values):
+def _quantity_values(img: ImageCoefficients, quantity, values, radii):
     """(quantity, singular_mask) from one call of values(a, b), which evaluates
-    sum a_k z^k + conj(sum b_k z^k) at the sample points for each series of the
-    stacks a and b."""
+    sum a_k z^k + conj(sum b_k z^k) at the sample points, one row per radius of
+    radii, for each series of the stacks a and b."""
     h, g = img.h, img.g
     kh, kg = np.arange(h.size) * h, np.arange(g.size) * g  # z H', z S'
     if quantity == "jacobian_margin":
@@ -176,20 +202,20 @@ def _quantity_values(img: ImageCoefficients, quantity, values):
         hp, sp = np.abs(values(derivs, derivs[:, :0]))
         return hp - sp, np.zeros(np.shape(hp), dtype=bool)
     if quantity == "dtheta_arg_f":
-        ratio, singular = _ratio(values(np.array([kh, h]), np.array([-kg, g])))
+        ratio, singular = _ratio(values(np.array([kh, h]), np.array([-kg, g])), h, g, radii)
         return np.real(ratio), singular
     if quantity == "dtheta_arg_ftheta":
         k2h, k2g = np.arange(h.size) * kh, np.arange(g.size) * kg  # z H' + z^2 H'', z S' + z^2 S''
-        ratio, singular = _ratio(values(np.array([k2h, kh]), np.array([k2g, -kg])))
+        ratio, singular = _ratio(values(np.array([k2h, kh]), np.array([k2g, -kg])), kh, kg, radii)
         return np.real(ratio), singular
     raise DomainError(f"unknown quantity {quantity!r}; known: {', '.join(QUANTITIES)}")
 
 
 def _scalar(img, pt, quantity):
-    def at_point(a, b):  # a (series, 1) array, which _ratio can write to
-        return np.array([[harmonic_sum(x, y, pt.z)] for x, y in zip(a, b)])
+    def at_point(a, b):  # a (series, 1, 1) array, which _ratio can write to
+        return np.array([[[harmonic_sum(x, y, pt.z)]] for x, y in zip(a, b)])
 
-    [value], [singular] = _quantity_values(img, quantity, at_point)
+    [[value]], [[singular]] = _quantity_values(img, quantity, at_point, (pt.r,))
     if singular:
         raise SingularPointError(f"{quantity} undefined at r={pt.r}, theta={pt.theta}")
     return float(value)
@@ -228,7 +254,7 @@ def sweep(
     if limit is not None:
         limit = check_integer(limit, 1, "limit")
     thetas = grid.thetas()
-    vals, singular = _quantity_values(img, quantity, grid.circle_values)
+    vals, singular = _quantity_values(img, quantity, grid.circle_values, grid.radii)
     finite = np.isfinite(vals)
     failed = singular | ~finite
     if failed.any():

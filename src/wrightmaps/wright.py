@@ -83,6 +83,8 @@ class ConvolutionSpec:
 def check_sigma(sigma) -> complex:
     """The co-analytic weight as a complex number; DomainError unless |sigma| < 1."""
     sigma = complex(sigma)
+    if abs(sigma.real) + abs(sigma.imag) == math.inf:  # abs(sigma) could overflow
+        raise DomainError(f"|sigma| must be < 1, got sigma = {sigma}")
     if not abs(sigma) < 1:
         raise DomainError(f"|sigma| must be < 1, got {abs(sigma)}")
     return sigma

@@ -20,6 +20,7 @@ from wrightmaps import (
     THEOREM_IDS,
     WrightParams,
     class_bound_coeffs,
+    close_to_convex_bound,
     close_to_convex_lhs,
     close_to_convex_probe,
     convolve,
@@ -479,7 +480,42 @@ def test_close_to_convex_probe_reports_carry_the_lhs_array():
     assert np.isnan(close_to_convex_lhs(ImageCoefficients([np.nan]))).all()
 
 
-@pytest.mark.parametrize("b1, epsilons", [(1.0, None), (NAN, None), (0.0, [0.5]), (0.0, [1, NAN])])
+@pytest.mark.parametrize(
+    "b1, epsilons", [(1.0, None), (NAN, None), (complex(1.7e308, 1.7e308), None), (0.0, [0.5]), (0.0, [1, NAN])]
+)
 def test_close_to_convex_lhs_validates_like_the_probe(b1, epsilons):
     with pytest.raises(DomainError):
         close_to_convex_lhs(ImageCoefficients([0.1], [0.5, 0.05]), b1, epsilons)
+    if epsilons is None:
+        with pytest.raises(DomainError):
+            close_to_convex_bound(ImageCoefficients([0.1], [0.5, 0.05]), b1)
+
+
+def test_close_to_convex_bound_holds_for_every_unit_epsilon():
+    rng = np.random.default_rng(26)
+    dense = np.exp(2j * np.pi * np.arange(16384) / 16384)
+    for k in range(60):
+        klass, n = rng.choice(["KH0", "CH0_family", "CH"]), int(rng.integers(2, 81))
+        b1 = 0.6 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        a, b = (c.astype(complex) for c in class_bound_coeffs(klass, abs(b1), n))
+        kernels = (WrightParams(*rng.uniform([0.8, 1.5, 0.8, 1.5], [2.5, 4.5, 2.5, 4.5])) for _ in "12")
+        if k % 4:  # random phases and a complex sigma
+            a, b = (c * np.exp(2j * np.pi * rng.random(c.size)) for c in (a, b))
+            spec = ConvolutionSpec(*kernels, complex(*rng.uniform(-0.5, 0.5, 2)))
+        else:  # real coefficients, nonnegative from n = 2 on, and b_1 <= 0: at eps = 1 the lhs is T
+            b[0] = -b[0]
+            spec = ConvolutionSpec(*kernels, rng.uniform(0, 0.5))
+        img = convolve(CoefficientSeq(a, b), spec)
+        for given_b1 in (None, b1):
+            bound, lhs = close_to_convex_bound(img, given_b1), close_to_convex_lhs(img, given_b1, dense)
+            assert lhs.max() <= bound * (1 + 1e-13), (k, given_b1)
+            if k % 4 == 0 and given_b1 is None:
+                assert lhs.max() >= bound * (1 - 1e-13), k
+    assert close_to_convex_bound(ImageCoefficients([0.3j], [0.5, -0.1]), 0.5j) == (2 * 0.3 + 2 * 0.1) / 0.5
+    assert close_to_convex_bound(ImageCoefficients()) == 0.0
+    assert np.isnan(close_to_convex_bound(ImageCoefficients([np.nan])))
+
+
+def test_default_epsilons_lie_within_four_units_in_the_last_place_of_the_circle():
+    # The rounding argument behind verify's certificate slack assumes |eps| <= 1 + 4u, u = 2^-53.
+    assert np.abs(DEFAULT_EPSILONS).max() <= 1 + 2.0**-51

@@ -147,6 +147,27 @@ def test_singular_point_recorded_not_raised():
     assert rep.min_value == -math.inf and rep.argmin.theta == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("radius", [1e-14, 1e-300])
+def test_small_radii_are_not_singular(radius):
+    # On |z| = r the denominators of f = z are r and r: small, but not zeros of f.
+    for quantity in ("dtheta_arg_f", "dtheta_arg_ftheta"):
+        rep = sweep(identity_image(), SampleGrid((radius,), 64), quantity, 1 - 1e-9)
+        assert rep.clean and rep.min_value == pytest.approx(1, abs=1e-15), quantity
+        assert getattr(wrightmaps, quantity)(identity_image(), EvalPoint(radius, 0.3)) == pytest.approx(1)
+        with pytest.raises(SingularPointError):  # at the origin itself both sums vanish
+            getattr(wrightmaps, quantity)(identity_image(), EvalPoint(0.0, 0.3))
+
+
+def test_a_zero_of_f_is_still_singular():
+    # f = z + 1.875 z^2 vanishes at z = -1/1.875, a grid point of r = 0.5333333333333333.
+    img = ImageCoefficients([1.875], [])
+    pt = EvalPoint(0.5333333333333333, math.pi)
+    rep = sweep(img, SampleGrid((pt.r,), 64), "dtheta_arg_f", 0.0)
+    assert [(v.point.theta, v.kind) for v in rep.violations] == [(math.pi, "singular")]
+    with pytest.raises(SingularPointError):
+        dtheta_arg_f(img, pt)
+
+
 def test_rotation_covariance():
     # Rigid disk rotation: A_n -> A_n e^{i(n-1)phi}, B_n -> B_n e^{i(n+1)phi};
     # sweep values are relabeled angles, so their sorted samples coincide.
@@ -287,29 +308,34 @@ def reference_circle_values(grid, a, b):
     return np.fft.ifft(folded, axis=1, norm="forward", out=folded)
 
 
-def reference_quantity_values(img, quantity, values):
+def reference_quantity_values(img, quantity, values, radii):
     """The quantities from two circle evaluations each, one per series pair."""
     h, g = img.h, img.g
     kh, kg = np.arange(h.size) * h, np.arange(g.size) * g
+    r = np.array(radii)[:, None]
 
-    def ratio(num, den):
-        singular = np.abs(den) < wrightmaps.oracle.SINGULAR_EPS
+    def ratio(num, a, b):
+        # A zero denominator: at or below SINGULAR_EPS times its series' sum of |coefficient| r^k.
+        scale = (np.abs(a) * r ** np.arange(a.size)).sum(axis=1) + (np.abs(b) * r ** np.arange(b.size)).sum(axis=1)
+        den = values(a, b)
+        singular = np.abs(den) <= wrightmaps.oracle.SINGULAR_EPS * scale[:, None]
         return num / np.where(singular, 1.0, den), singular
 
     if quantity == "jacobian_margin":
         margin = np.abs(values(derivative(h), ())) - np.abs(values(derivative(g), ()))
         return margin, np.zeros(np.shape(margin), dtype=bool)
     if quantity == "dtheta_arg_f":
-        value, singular = ratio(values(kh, -kg), values(h, g))
+        value, singular = ratio(values(kh, -kg), h, g)
         return np.real(value), singular
     k2h, k2g = np.arange(h.size) * kh, np.arange(g.size) * kg
-    value, singular = ratio(values(k2h, k2g), values(kh, -kg))
+    value, singular = ratio(values(k2h, k2g), kh, -kg)
     return np.real(value), singular
 
 
 def reference_sweep_bits(img, grid, quantity, threshold):
     """(min, argmin, violations) of the reference sweep, every float as its hex digits."""
-    vals, singular = reference_quantity_values(img, quantity, lambda a, b: reference_circle_values(grid, a, b))
+    values = lambda a, b: reference_circle_values(grid, a, b)  # noqa: E731
+    vals, singular = reference_quantity_values(img, quantity, values, grid.radii)
     finite = np.isfinite(vals)
     vals = np.where(singular | ~finite, -np.inf, vals)
     thetas = grid.thetas()

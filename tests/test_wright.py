@@ -295,9 +295,9 @@ PUBLIC_NAMES = {
     "mappings": ["CoefficientSeq", "ConvolutionSpec", "EvalPoint", "ImageCoefficients", "convolve",
                  "eval_derivs", "eval_map", "identity_image", "random_coefficients"],
     "criteria": ["CriterionReport", "FORM_DERIVED", "FORM_EXACT", "FORM_STATED", "THEOREM_IDS",
-                 "class_bound_coeffs", "close_to_convex_lhs", "close_to_convex_probe", "default_epsilons",
-                 "exact_image_criterion", "hypothesis_columns", "lemma1_sum", "lemma2_sum", "lemma5_sum",
-                 "lemma6_membership", "stated_hypothesis"],
+                 "class_bound_coeffs", "close_to_convex_bound", "close_to_convex_lhs", "close_to_convex_probe",
+                 "default_epsilons", "exact_image_criterion", "hypothesis_columns", "lemma1_sum", "lemma2_sum",
+                 "lemma5_sum", "lemma6_membership", "stated_hypothesis"],
     "oracle": ["OracleReport", "SampleGrid", "Violation", "dtheta_arg_f", "dtheta_arg_ftheta",
                "jacobian_margin", "sweep"],
 }
