@@ -481,7 +481,7 @@ def test_close_to_convex_probe_reports_carry_the_lhs_array():
 
 
 @pytest.mark.parametrize(
-    "b1, epsilons", [(1.0, None), (NAN, None), (complex(1.7e308, 1.7e308), None), (0.0, [0.5]), (0.0, [1, NAN])]
+    "b1, epsilons", [(1.0, None), (NAN, None), (0.0, [0.5]), (0.0, [1, NAN]), (complex(1.7e308, 1.7e308), None)]
 )
 def test_close_to_convex_lhs_validates_like_the_probe(b1, epsilons):
     with pytest.raises(DomainError):
